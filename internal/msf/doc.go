@@ -16,13 +16,14 @@
 // batch-order union-find from internal/search): non-cycle-closing edges
 // link directly in one BatchLink. Cycle-closing candidates then run
 // batched cycle-max rounds: BatchPathMaxEdge answers, for every candidate
-// at once, the heaviest tree edge on its endpoint path; candidates that
-// beat it swap in (cut the evicted edge, link the candidate), the evicted
-// edge rejoins the candidate pool, and conflicting winners naming the same
-// evictee defer to the next round. The rounds end when a pass applies no
-// swap, at which point every remaining candidate has re-verified the cycle
-// property against the final forest and settles into the per-vertex
-// non-tree incidence set.
+// at once, the heaviest tree edge on its endpoint path. Candidates that
+// beat it swap in (cut the evicted edge, link the candidate); candidates
+// that do not, and the evicted edges, settle into the per-vertex non-tree
+// incidence set at once, because a round of improving swaps only keeps
+// their endpoints joined by lighter edges. A winner whose evictee an
+// earlier winner claimed defers to the next round, and the rounds end when
+// no winner is deferred: each candidate's cycle is checked once, plus once
+// per deferral.
 //
 // Deletes drop non-tree edges with no structural work, cut tree edges in
 // one BatchCut, and repair with the shared replacement-search core

@@ -299,9 +299,11 @@ func (m *BatchDynamicMSF) ntRemove(u, v int) {
 // edges of the same batch — enter the candidate pool and run the cycle-max
 // swap rounds: a candidate joins the forest iff it precedes the heaviest
 // edge on its endpoint path in the (weight, key) order, evicting that edge
-// into the pool. Rounds repeat until a pass applies no swap, so every
-// settled non-tree edge has verified the cycle property against the final
-// forest; the result is the unique MSF of the live graph.
+// to the non-tree set. A candidate that loses, and an evicted edge, are
+// settled for good (see swapRounds for why neither can win later); only
+// winners deferred by a conflict over the same evictee are queried again,
+// and the rounds end when none is left. The result is the unique MSF of
+// the live graph.
 //
 // Adversarial batches (self loops, in-batch repeats in either orientation,
 // edges already present) panic deterministically before any mutation; see
@@ -350,23 +352,45 @@ func (m *BatchDynamicMSF) BatchAddEdges(edges []Edge) {
 	})
 
 	// A directly linked batch edge is not necessarily an MSF edge (a
-	// lighter candidate may thread the same cut), but every improving swap
-	// the rounds below apply strictly decreases the forest's sorted weight
-	// multiset, and the loop only stops when no candidate improves — the
-	// local-optimality characterization of the unique MSF.
+	// lighter candidate may thread the same cut); the swap rounds below
+	// evict it if so, and they leave every non-tree edge heavier than every
+	// edge on its forest path — the cycle-property characterization of the
+	// unique MSF.
 	m.swapRounds(pool)
 	m.stats.Total = time.Since(start)
 }
 
-// swapRounds runs the cycle-max rounds over the candidate pool until
-// quiescence, then settles the surviving candidates as non-tree edges.
-// Every candidate's endpoints are connected in the forest throughout: a
-// candidate either closed a cycle at classification time or was evicted by
-// a swap whose replacement re-connected its endpoints.
+// swapRounds runs the cycle-max rounds over the candidate pool. Each round
+// answers the pool's path-maximum queries in one BatchPathMaxEdge against
+// the static forest. A candidate that does not precede its path maximum
+// loses and is settled as a non-tree edge. The winners apply in ascending
+// (weight, key) order, one per evicted tree edge: each evictee is cut,
+// its winner linked, and the evictee settled as a non-tree edge. A winner
+// whose evictee an earlier winner already claimed is deferred, and only
+// the deferred winners are queried next round. The rounds end when no
+// winner was deferred; every round applies at least its lightest winner,
+// so the pool shrinks each round.
+//
+// Settling losers and evictees at once is sound because a round of
+// improving swaps never disconnects the sub-forest of the edges lighter
+// than any threshold t ("lighter" meaning earlier in the (weight, key)
+// order throughout). Let the round apply winners e_i with evictees f_i:
+// e_i is lighter than f_i, f_i is the maximum of e_i's path, and the f_i
+// are distinct. Take the evictees in ascending order. f_i's endpoints stay
+// joined through e_i and the rest of e_i's old path, all lighter than f_i;
+// an edge of that path that was itself evicted is some lighter f_j, whose
+// endpoints are by induction already joined by edges lighter than f_j.
+// So every pair of vertices joined by forest edges lighter than t before
+// the round is still joined by forest edges lighter than t after it. An
+// edge heavier than every edge on its path — a loser, or an evictee f_i
+// once its round is applied — therefore stays heavier than every edge on
+// its path in every later round, and could never win again. Every
+// candidate's endpoints stay connected in the forest throughout: a
+// candidate closed a cycle at classification time, and a swap reconnects
+// exactly the cut it makes.
 func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
+	settled := make([]Edge, 0, len(pool))
 	for len(pool) > 0 {
-		// One round: the forest is static, so the whole pool's cycle-max
-		// queries batch into one parallel BatchPathMaxEdge.
 		pairs := make([][2]int, len(pool))
 		for i, e := range pool {
 			pairs[i] = [2]int{e.U, e.V}
@@ -380,10 +404,6 @@ func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
 		})
 		m.stats.Rounds++
 
-		// Winners precede their path maximum in the (weight, key) order.
-		// Applying them in ascending candidate order with one eviction per
-		// tree edge keeps the swap set conflict-free; a winner whose
-		// evictee is already claimed defers to the next round.
 		winners := make([]int, 0, len(pool))
 		for i, e := range pool {
 			if !mok[i] {
@@ -391,7 +411,12 @@ func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
 			}
 			if less(e.W, key(e.U, e.V), mw[i], key(mx[i], my[i])) {
 				winners = append(winners, i)
+			} else {
+				settled = append(settled, e)
 			}
+		}
+		if len(winners) == 0 {
+			break
 		}
 		sort.Slice(winners, func(a, b int) bool {
 			ea, eb := pool[winners[a]], pool[winners[b]]
@@ -399,29 +424,24 @@ func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
 		})
 
 		evicted := make(map[uint64]bool, len(winners))
-		applied := make(map[int]bool, len(winners))
 		var cuts [][2]int
 		var links []ufo.Edge
-		var evictees []Edge
+		var deferred []Edge
 		tSwap := time.Now()
 		for _, i := range winners {
+			e := pool[i]
 			ek := key(mx[i], my[i])
 			if evicted[ek] {
-				continue // conflicting winner: re-queried next round
+				deferred = append(deferred, e)
+				continue
 			}
 			evicted[ek] = true
-			applied[i] = true
-			e := pool[i]
 			cuts = append(cuts, [2]int{mx[i], my[i]})
 			links = append(links, ufo.Edge{U: e.U, V: e.V, W: e.W})
-			evictees = append(evictees, Edge{U: mx[i], V: my[i], W: mw[i]})
+			settled = append(settled, Edge{U: mx[i], V: my[i], W: mw[i]})
 			m.rec[key(e.U, e.V)] = edgeRec{w: e.W, tree: true}
-			m.rec[ek] = edgeRec{w: mw[i], tree: false}
 			m.total += e.W - mw[i]
 			m.stats.Swaps++
-		}
-		if len(applied) == 0 {
-			break // quiescent: every survivor verified the cycle property
 		}
 		// Distinct evictees make the simultaneous swap set safe: each link
 		// reconnects exactly the cut of its own evictee, and no pending
@@ -430,24 +450,14 @@ func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
 		m.f.BatchCut(cuts)
 		m.f.BatchLink(links)
 		m.addPhase(phSwap, time.Since(tSwap), len(cuts))
-
-		next := make([]Edge, 0, len(pool)-len(applied)+len(evictees))
-		for i, e := range pool {
-			if !applied[i] {
-				next = append(next, e)
-			}
-		}
-		pool = append(next, evictees...)
+		pool = deferred
 	}
 
-	// Settle the survivors: their cycle property held against the final
-	// forest in the quiescent round (or the pool emptied).
 	m.timePhase(phNonTree, func() int {
-		for _, e := range pool {
-			k := key(e.U, e.V)
-			m.rec[k] = edgeRec{w: e.W, tree: false}
+		for _, e := range settled {
+			m.rec[key(e.U, e.V)] = edgeRec{w: e.W, tree: false}
 			m.ntInsert(e.U, e.V, e.W)
 		}
-		return len(pool)
+		return len(settled)
 	})
 }

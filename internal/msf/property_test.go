@@ -164,8 +164,11 @@ func TestSwapEviction(t *testing.T) {
 	if m.NonTreeEdgeCount() != 1 || !m.HasEdge(2, 3) {
 		t.Fatalf("evicted edge not retained as non-tree")
 	}
-	if st := m.PhaseStats(); st.Swaps != 1 {
-		t.Fatalf("PhaseStats.Swaps = %d, want 1", st.Swaps)
+	// One round settles both the swap and its evictee: the evicted edge is
+	// not queried again.
+	if st := m.PhaseStats(); st.Swaps != 1 || st.Rounds != 1 || st.Phases[phCycleMax].Items != 1 {
+		t.Fatalf("PhaseStats swaps/rounds/cycle_max items = %d/%d/%d, want 1/1/1",
+			st.Swaps, st.Rounds, st.Phases[phCycleMax].Items)
 	}
 	// Deleting the evicted non-tree edge is pure bookkeeping.
 	m.BatchDeleteEdges([]Edge{{U: 2, V: 3}})
@@ -176,6 +179,34 @@ func TestSwapEviction(t *testing.T) {
 	m.BatchDeleteEdges([]Edge{{U: 1, V: 2}})
 	if m.ComponentCount() != 2 || m.TotalWeight() != 15 {
 		t.Fatalf("split wrong: comps=%d total=%d", m.ComponentCount(), m.TotalWeight())
+	}
+}
+
+// TestDeferredWinner pins the conflict path of the swap rounds: two
+// candidates of one batch both name the same tree edge as their path
+// maximum, the lighter one evicts it, and only the deferred one is queried
+// again, against the swapped forest, where it evicts a different edge.
+func TestDeferredWinner(t *testing.T) {
+	m := New(4)
+	m.BatchAddEdges([]Edge{{0, 1, 10}, {1, 2, 30}, {2, 3, 10}})
+	// (0,2,5) and (1,3,6) both close cycles through (1,2,30). (0,2) wins
+	// it; (1,3)'s second query sees the path 1-0-2-3, whose maximum is
+	// (2,3,10) (equal weights break toward the larger key).
+	m.BatchAddEdges([]Edge{{0, 2, 5}, {1, 3, 6}})
+	st := m.PhaseStats()
+	if st.Rounds != 2 || st.Phases[phCycleMax].Items != 3 || st.Swaps != 2 {
+		t.Fatalf("PhaseStats rounds/cycle_max items/swaps = %d/%d/%d, want 2/3/2",
+			st.Rounds, st.Phases[phCycleMax].Items, st.Swaps)
+	}
+	want := []Edge{{0, 1, 10}, {0, 2, 5}, {1, 3, 6}}
+	if got := m.TreeEdges(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("TreeEdges = %v, want %v", got, want)
+	}
+	if m.TotalWeight() != 21 {
+		t.Fatalf("TotalWeight = %d, want 21", m.TotalWeight())
+	}
+	if m.NonTreeEdgeCount() != 2 || !m.HasEdge(1, 2) || !m.HasEdge(2, 3) {
+		t.Fatalf("evicted edges not retained as non-tree")
 	}
 }
 

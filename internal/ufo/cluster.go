@@ -173,6 +173,28 @@ func (s *edgeSet) forEach(fn func(EdgeRef) bool) {
 	}
 }
 
+// toward returns the entry whose neighbor is y. It reads the inline
+// entries in place when there is no overflow table, the common case on
+// every query walk, and falls back to forEach when there is one.
+func (s *edgeSet) toward(y cref) (out EdgeRef, found bool) {
+	if s.ov == nil {
+		for i := int32(0); i < s.n; i++ {
+			if s.arr[i].to == y {
+				return s.arr[i], true
+			}
+		}
+		return EdgeRef{}, false
+	}
+	s.forEach(func(e EdgeRef) bool {
+		if e.to == y {
+			out, found = e, true
+			return false
+		}
+		return true
+	})
+	return out, found
+}
+
 // any returns an arbitrary entry.
 func (s *edgeSet) any() (EdgeRef, bool) {
 	if s.n > 0 {
@@ -453,38 +475,31 @@ func (c *Cluster) trySet(fl uint32) bool {
 // boundaries returns the distinct boundary vertices of c (the inside
 // endpoints of its crossing edges) in O(1): clusters of degree ≥ 3 have a
 // single boundary vertex (the unbounded-fanout invariant), so one entry
-// suffices; degree ≤ 2 clusters are read directly.
+// suffices; degree ≤ 2 clusters are read directly. Without an overflow
+// table the inline entries are read in place. A table exists only over
+// four full inline slots and is never empty (Validate checks both), so a
+// cluster with one has degree ≥ 5 and a single boundary.
 func (c *Cluster) boundaries() (b [2]int32, n int) {
-	d := c.adj.degree()
-	switch {
-	case d == 0:
-		return b, 0
-	case d >= 3:
-		e, _ := c.adj.any()
+	s := &c.adj
+	if s.ov != nil {
+		e, _ := s.any()
 		b[0] = e.myV
 		return b, 1
-	default:
-		i := 0
-		c.adj.forEach(func(e EdgeRef) bool {
-			if i == 0 || e.myV != b[0] {
-				b[i] = e.myV
-				i++
-			}
-			return true
-		})
-		return b, i
 	}
-}
-
-// hasBoundary reports whether vertex v is a boundary vertex of c.
-func (c *Cluster) hasBoundary(v int32) bool {
-	b, n := c.boundaries()
-	for i := 0; i < n; i++ {
-		if b[i] == v {
-			return true
+	switch s.n {
+	case 0:
+		return b, 0
+	case 2:
+		b[0] = s.arr[0].myV
+		if v := s.arr[1].myV; v != b[0] {
+			b[1] = v
+			return b, 2
 		}
+		return b, 1
+	default:
+		b[0] = s.arr[0].myV
+		return b, 1
 	}
-	return false
 }
 
 // attach makes c a child of p, keeping subtree aggregates of p and all of
@@ -534,27 +549,11 @@ func (a *arena) edgeBetween(x, y cref) (EdgeRef, bool) {
 	hx, hy := a.at(x), a.at(y)
 	if hx.adj.degree() > hy.adj.degree() {
 		// Search from y's side and flip the view.
-		var out EdgeRef
-		found := false
-		hy.adj.forEach(func(e EdgeRef) bool {
-			if e.to == x {
-				out = EdgeRef{to: y, key: e.key, w: e.w, myV: e.otherV, otherV: e.myV}
-				found = true
-				return false
-			}
-			return true
-		})
-		return out, found
-	}
-	var out EdgeRef
-	found := false
-	hx.adj.forEach(func(e EdgeRef) bool {
-		if e.to == y {
-			out = e
-			found = true
-			return false
+		e, ok := hy.adj.toward(x)
+		if !ok {
+			return EdgeRef{}, false
 		}
-		return true
-	})
-	return out, found
+		return EdgeRef{to: y, key: e.key, w: e.w, myV: e.otherV, otherV: e.myV}, true
+	}
+	return hx.adj.toward(y)
 }

@@ -44,8 +44,8 @@ func (f *Forest) SelectOnPath(u, v, k int) (int, bool) {
 		if pu == pv {
 			break
 		}
-		ru = a.stepRep(cu, ru)
-		rv = a.stepRep(cv, rv)
+		a.stepRep(cu, &ru)
+		a.stepRep(cv, &rv)
 		cu, cv = pu, pv
 	}
 	if g, found := a.edgeBetween(cu, cv); found {
@@ -174,7 +174,7 @@ func (f *Forest) cntWithin(C cref, x, b int32) int {
 	c := f.leaf(int(x))
 	r := rep{e: [2]repEntry{{v: x, sum: 0, max: negInf}}, n: 1}
 	for c != C {
-		r = a.stepRep(c, r)
+		a.stepRep(c, &r)
 		c = a.par[c]
 		if c == nilRef {
 			panic("ufo: cntWithin walked past the target cluster")

@@ -32,34 +32,23 @@ func (r *rep) get(v int32) (repEntry, bool) {
 	return repEntry{}, false
 }
 
-func (r *rep) set(ent repEntry) {
-	for i := 0; i < r.n; i++ {
-		if r.e[i].v == ent.v {
-			r.e[i] = ent
-			return
-		}
-	}
-	r.e[r.n] = ent
-	r.n++
-}
-
-// stepRep lifts the representative paths of c to its parent, implementing
-// the inductive cases of Appendix C.2 in the unified boundary-vertex
-// formulation: for each boundary b of the parent, either b lies inside c
-// (copy), or the path continues through the merge edge g into the sibling's
-// cluster path.
-func (a *arena) stepRep(c cref, r rep) rep {
+// stepRep lifts the representative paths of c to its parent, in place,
+// implementing the inductive cases of Appendix C.2 in the unified
+// boundary-vertex formulation: for each boundary b of the parent, either b
+// lies inside c (copy), or the path continues through the merge edge g
+// into the sibling's cluster path.
+func (a *arena) stepRep(c cref, r *rep) {
 	hc := a.at(c)
-	p := hc.parent
-	hp := a.at(p)
+	hp := a.at(hc.parent)
 	if len(hp.children) == 1 {
-		return r
+		return
 	}
 	pb, pn := hp.boundaries()
-	var out rep
 	if pn == 0 {
-		return out
+		*r = rep{}
+		return
 	}
+	var out [2]repEntry
 	if hp.center == c {
 		// All of p's crossing edges are c's (leaves contribute none).
 		for i := 0; i < pn; i++ {
@@ -67,9 +56,10 @@ func (a *arena) stepRep(c cref, r rep) rep {
 			if !ok {
 				panic("ufo: representative path missing a center boundary")
 			}
-			out.set(ent)
+			out[i] = ent
 		}
-		return out
+		r.e, r.n = out, pn
+		return
 	}
 	// c attaches to exactly one sibling: the merge center, or its pair
 	// partner.
@@ -86,14 +76,16 @@ func (a *arena) stepRep(c cref, r rep) rep {
 		panic("ufo: merge edge missing between siblings")
 	}
 	hs := a.at(s)
+	// c has the crossing edge g, so it has at least one boundary.
+	cb, cn := hc.boundaries()
 	for i := 0; i < pn; i++ {
 		b := pb[i]
-		if hc.hasBoundary(b) {
+		if b == cb[0] || (cn == 2 && b == cb[1]) {
 			ent, ok := r.get(b)
 			if !ok {
 				panic("ufo: representative path missing a boundary")
 			}
-			out.set(ent)
+			out[i] = ent
 			continue
 		}
 		base, ok := r.get(g.myV)
@@ -109,9 +101,9 @@ func (a *arena) stepRep(c cref, r rep) rep {
 			mx, mk = wkMax(mx, mk, hs.pathMax, hs.pathMaxKey)
 			cnt += hs.pathCnt
 		}
-		out.set(repEntry{v: b, sum: sum, max: mx, maxK: mk, cnt: cnt})
+		out[i] = repEntry{v: b, sum: sum, max: mx, maxK: mk, cnt: cnt}
 	}
-	return out
+	r.e, r.n = out, pn
 }
 
 // pathAgg walks both leaf-to-root chains in lockstep to the LCA cluster,
@@ -134,8 +126,8 @@ func (f *Forest) pathAgg(u, v int) (sum, mx int64, mxKey uint64, cnt int32, ok b
 		if pu == pv {
 			break
 		}
-		ru = a.stepRep(cu, ru)
-		rv = a.stepRep(cv, rv)
+		a.stepRep(cu, &ru)
+		a.stepRep(cv, &rv)
 		cu, cv = pu, pv
 	}
 	return a.combinePaths(cu, cv, &ru, &rv)

@@ -177,7 +177,7 @@ func (qs *qscratch) chainOf(f *Forest, v int) chainRange {
 		if p == nilRef {
 			break
 		}
-		r = a.stepRep(c, r)
+		a.stepRep(c, &r)
 		c = p
 		qs.ents = append(qs.ents, chainEnt{c: c, r: r})
 	}

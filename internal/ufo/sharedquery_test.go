@@ -220,6 +220,60 @@ func TestPackedParentColumnValidate(t *testing.T) {
 	mustValidate(t, f, "post-restore")
 }
 
+// TestOverflowShapeValidate checks that Validate catches an adjacency
+// overflow table beside free inline slots, or an empty one — the shape
+// edgeSet.remove/refill maintain and the query walk's inline reads rely on.
+func TestOverflowShapeValidate(t *testing.T) {
+	// Vertex 0 is a star center whose leaf overflows; vertex 40 has
+	// exactly four edges, so its inline slots are full with no table.
+	f := New(44)
+	var edges []Edge
+	for v := 1; v <= 40; v++ {
+		edges = append(edges, Edge{0, v, 1})
+	}
+	for v := 41; v <= 43; v++ {
+		edges = append(edges, Edge{40, v, 1})
+	}
+	f.BatchLink(edges)
+	mustValidate(t, f, "pre-corruption")
+	s := &f.a.at(f.leaf(0)).adj
+	if s.ov == nil {
+		t.Fatal("star center should hold an overflow table")
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func() func()
+	}{
+		{"free inline slot", func() func() {
+			// Move the last inline entry into the table: the edge set
+			// keeps its contents, only the shape breaks.
+			e := s.arr[3]
+			s.arr[3], s.n = EdgeRef{}, 3
+			s.ov.put(e)
+			return func() {
+				s.ov.remove(e.key)
+				s.arr[3], s.n = e, 4
+			}
+		}},
+		{"empty table", func() func() {
+			full := &f.a.at(f.leaf(40)).adj
+			full.ov = newOvTable()
+			return func() {
+				putOvTable(full.ov)
+				full.ov = nil
+			}
+		}},
+	} {
+		restore := c.corrupt()
+		err := f.Validate()
+		restore()
+		if err == nil || !strings.Contains(err.Error(), "overflow table") {
+			t.Fatalf("%s: Validate returned %v, want an overflow-table error", c.name, err)
+		}
+		mustValidate(t, f, "post-restore "+c.name)
+	}
+}
+
 // TestSharedQueriesAfterChurn runs the shared mode against heavy arena
 // recycling (slots freed and reused across batches) to make sure the
 // epoch-stamped cluster memo never reads a stale root through a recycled

@@ -15,6 +15,9 @@ import "fmt"
 //   - adjacency symmetry: every entry has a mirror with swapped endpoints,
 //     equal keys/weights, at the same level; entry endpoints actually lie
 //     inside the owning clusters;
+//   - adjacency shape: an overflow table exists only over four full inline
+//     slots and is never empty (the query walk reads inline entries
+//     directly on that premise);
 //   - quotient consistency: the level-(l+1) edges are exactly the images of
 //     level-l edges whose endpoints have distinct parents (no stale edges);
 //   - merge validity: children of each cluster are connected via level
@@ -112,6 +115,10 @@ func (f *Forest) validateCluster(c cref, contents map[cref]map[int32]bool) error
 	}
 	if hc.prop != nilRef {
 		return fmt.Errorf("level %d: cluster with leftover matching proposal", hc.level)
+	}
+	if ov := hc.adj.ov; ov != nil && (hc.adj.n != int32(len(hc.adj.arr)) || ov.n == 0) {
+		return fmt.Errorf("level %d: overflow table of %d entries beside %d inline entries",
+			hc.level, ov.n, hc.adj.n)
 	}
 	if hc.parent != nilRef && a.at(hc.parent).level != hc.level+1 {
 		return fmt.Errorf("level %d: parent at level %d", hc.level, a.at(hc.parent).level)
