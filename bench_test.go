@@ -176,7 +176,7 @@ func benchmarkFig8(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
 		for _, t := range inputs {
 			f := builder.New(t.N).(ufotree.BatchForest)
-			f.SetParallel(true)
+			f.SetWorkers(0)
 			links := make([]ufotree.Edge, 0, len(t.Edges))
 			for _, e := range gen.Shuffled(t, 12).Edges {
 				links = append(links, ufotree.Edge{U: e.U, V: e.V, W: e.W})
@@ -217,7 +217,7 @@ func BenchmarkFig9Scaling(b *testing.B) {
 			k := n / 10
 			for i := 0; i < b.N; i++ {
 				f := ufotree.NewUFO(n)
-				f.SetParallel(true)
+				f.SetWorkers(0)
 				links := make([]ufotree.Edge, 0, len(t.Edges))
 				for _, e := range gen.Shuffled(t, 14).Edges {
 					links = append(links, ufotree.Edge{U: e.U, V: e.V, W: 1})
@@ -244,7 +244,7 @@ func BenchmarkFig16ParallelSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, s := range bench.Parallel() {
 					f := s.New(t.N).(ufotree.BatchForest)
-					f.SetParallel(true)
+					f.SetWorkers(0)
 					links := make([]ufotree.Edge, 0, len(t.Edges))
 					for _, e := range gen.Shuffled(t, 16).Edges {
 						links = append(links, ufotree.Edge{U: e.U, V: e.V, W: e.W})

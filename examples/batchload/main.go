@@ -43,7 +43,7 @@ func main() {
 		seq := time.Since(start)
 
 		f = s.mk()
-		f.SetParallel(true)
+		f.SetWorkers(0)
 		start = time.Now()
 		for lo := 0; lo < len(links); lo += k {
 			hi := lo + k

@@ -38,7 +38,7 @@ func main() {
 		edges[i] = ufotree.Edge{U: e.U, V: e.V}
 	}
 
-	// WithWorkers(0) = GOMAXPROCS, the SetParallel(true) configuration.
+	// WithWorkers(0) = GOMAXPROCS workers.
 	g := ufotree.NewDynamicGraph(raw.N, ufotree.WithWorkers(0))
 	fmt.Printf("social graph: %d users, %d friend edges, %d workers, %d levels\n",
 		raw.N, len(edges), g.Workers(), g.Levels())

@@ -1,7 +1,6 @@
 package ufotree
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/conn"
@@ -17,11 +16,12 @@ import (
 // all times.
 //
 // Updates follow the Batcher admission idiom: AddEdges and DeleteEdges
-// reject an invalid batch with a typed error (ErrSelfLoop,
-// ErrDuplicateEdge, ErrAbsentCut, ErrVertexRange — match with errors.Is)
-// before any mutation, so an error return leaves the graph untouched. The
-// Must forms keep the forests' panic contract for callers whose input is
-// trusted by construction. SetWorkers clamp rules are identical to the
+// pass on the connectivity layer's pre-mutation check, which refuses an
+// invalid batch with a typed error (ErrSelfLoop, ErrDuplicateEdge,
+// ErrAbsentCut, ErrVertexRange — match with errors.Is) before any
+// mutation, so an error return leaves the graph untouched. The Must forms
+// panic with that error, the forests' contract, for callers whose input
+// is trusted by construction. SetWorkers clamp rules are identical to the
 // forests (k <= 0 defaults to GOMAXPROCS, k == 1 is sequential,
 // oversubscription allowed). Batches must not run concurrently with each
 // other or with queries; read-only queries may run concurrently with each
@@ -43,9 +43,10 @@ type DynamicGraph interface {
 	// naming the first offending edge, before any mutation.
 	DeleteEdges(edges []Edge) error
 	// MustAddEdges is AddEdges with the forests' panic contract: an
-	// invalid batch panics deterministically before any mutation.
+	// invalid batch panics with AddEdges' error, before any mutation.
 	MustAddEdges(edges []Edge)
-	// MustDeleteEdges is DeleteEdges with the forests' panic contract.
+	// MustDeleteEdges is DeleteEdges with the forests' panic contract: an
+	// invalid batch panics with DeleteEdges' error.
 	MustDeleteEdges(edges []Edge)
 	// BatchConnected answers Connected for every (u,v) pair in parallel.
 	BatchConnected(pairs [][2]int) []bool
@@ -151,103 +152,36 @@ func (a *graphAdapter) Name() string            { return a.name }
 
 func (a *graphAdapter) BatchConnected(pairs [][2]int) []bool { return a.g.BatchConnected(pairs) }
 
-// AddEdges validates the batch against the admission rules and applies it;
-// a typed-error return means nothing was mutated.
+// AddEdges applies the batch; the connectivity layer's pre-mutation check
+// refuses an invalid one with a typed error, and nothing is mutated then.
 func (a *graphAdapter) AddEdges(edges []Edge) error {
-	if err := a.validateAdds(edges); err != nil {
+	if err := a.g.BatchAddEdges(convGraphEdges(edges)); err != nil {
 		return err
 	}
-	a.MustAddEdges(edges)
+	a.clearRepr()
 	return nil
 }
 
-// DeleteEdges validates the batch against the admission rules and applies
-// it; a typed-error return means nothing was mutated.
+// DeleteEdges applies the batch; like AddEdges, an invalid batch is
+// refused with a typed error before any mutation.
 func (a *graphAdapter) DeleteEdges(edges []Edge) error {
-	if err := a.validateDeletes(edges); err != nil {
+	if err := a.g.BatchDeleteEdges(convGraphEdges(edges)); err != nil {
 		return err
 	}
-	a.MustDeleteEdges(edges)
+	a.clearRepr()
 	return nil
 }
 
 func (a *graphAdapter) MustAddEdges(edges []Edge) {
-	a.g.BatchAddEdges(convGraphEdges(edges))
-	a.clearRepr()
+	if err := a.AddEdges(edges); err != nil {
+		panic(err)
+	}
 }
 
 func (a *graphAdapter) MustDeleteEdges(edges []Edge) {
-	a.g.BatchDeleteEdges(convGraphEdges(edges))
-	a.clearRepr()
-}
-
-// validateAdds reports the first admission violation of an add batch as a
-// typed error: ErrSelfLoop, ErrVertexRange, or ErrDuplicateEdge (repeated
-// inside the batch in either orientation, or already present). The checks
-// mirror the connectivity layer's panic validation, so a nil return
-// guarantees the underlying batch cannot panic.
-func (a *graphAdapter) validateAdds(edges []Edge) error {
-	n := a.g.N()
-	seen := make(map[[2]int]struct{}, len(edges))
-	for _, e := range edges {
-		if err := checkRange(e, n); err != nil {
-			return err
-		}
-		if e.U == e.V {
-			return fmt.Errorf("ufotree: add edge (%d,%d): %w", e.U, e.V, ErrSelfLoop)
-		}
-		k := normEdge(e)
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("ufotree: add edge (%d,%d): %w", e.U, e.V, ErrDuplicateEdge)
-		}
-		seen[k] = struct{}{}
-		if a.g.HasEdge(e.U, e.V) {
-			return fmt.Errorf("ufotree: add edge (%d,%d): %w", e.U, e.V, ErrDuplicateEdge)
-		}
+	if err := a.DeleteEdges(edges); err != nil {
+		panic(err)
 	}
-	return nil
-}
-
-// validateDeletes reports the first admission violation of a delete batch
-// as a typed error: ErrSelfLoop, ErrVertexRange, or ErrAbsentCut (absent
-// from the graph, or repeated inside the batch in either orientation).
-func (a *graphAdapter) validateDeletes(edges []Edge) error {
-	n := a.g.N()
-	seen := make(map[[2]int]struct{}, len(edges))
-	for _, e := range edges {
-		if err := checkRange(e, n); err != nil {
-			return err
-		}
-		if e.U == e.V {
-			return fmt.Errorf("ufotree: delete edge (%d,%d): %w", e.U, e.V, ErrSelfLoop)
-		}
-		k := normEdge(e)
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("ufotree: delete edge (%d,%d): %w", e.U, e.V, ErrAbsentCut)
-		}
-		seen[k] = struct{}{}
-		if !a.g.HasEdge(e.U, e.V) {
-			return fmt.Errorf("ufotree: delete edge (%d,%d): %w", e.U, e.V, ErrAbsentCut)
-		}
-	}
-	return nil
-}
-
-func checkRange(e Edge, n int) error {
-	for _, v := range [2]int{e.U, e.V} {
-		if v < 0 || v >= n {
-			return fmt.Errorf("ufotree: vertex %d out of range [0,%d): %w", v, n, ErrVertexRange)
-		}
-	}
-	return nil
-}
-
-// normEdge orients an edge canonically for batch-duplicate detection.
-func normEdge(e Edge) [2]int {
-	if e.U <= e.V {
-		return [2]int{e.U, e.V}
-	}
-	return [2]int{e.V, e.U}
 }
 
 // BatchFindRepr elects the first queried vertex of each component as its

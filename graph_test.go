@@ -2,6 +2,7 @@ package ufotree
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -122,7 +123,7 @@ func TestDynamicGraphMustPanics(t *testing.T) {
 			if r == nil {
 				t.Fatalf("no panic (want %q)", want)
 			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
+			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
 				t.Fatalf("panic %v does not contain %q", r, want)
 			}
 			if g.EdgeCount() != 1 || g.ComponentCount() != 3 {

@@ -243,7 +243,7 @@ func Fig8(w io.Writer, n, k int, seed uint64, withGraphs bool) {
 		fmt.Fprintf(w, "%-14s", b.Name)
 		for _, t := range inputs {
 			f := b.New(t.N).(ufotree.BatchForest)
-			f.SetParallel(true)
+			f.SetWorkers(0)
 			d := buildDestroyBatch(f, t, k, seed+17)
 			fmt.Fprintf(w, " %12.1f", float64(d.Microseconds())/1000)
 		}
@@ -260,7 +260,7 @@ func Fig9(w io.Writer, ns []int, k int, seed uint64) {
 		fmt.Fprintf(w, "%-14d", n)
 		for _, t := range inputs {
 			f := ufotree.NewUFO(t.N)
-			f.SetParallel(true)
+			f.SetWorkers(0)
 			d := buildDestroyBatch(f, t, k, seed+19)
 			fmt.Fprintf(w, " %12.1f", float64(d.Microseconds())/1000)
 		}
@@ -283,7 +283,7 @@ func Fig16(w io.Writer, n, k int, alphas []float64, seed uint64) {
 		fmt.Fprintf(w, "%-14s", b.Name)
 		for _, t := range trees {
 			f := b.New(t.N).(ufotree.BatchForest)
-			f.SetParallel(true)
+			f.SetWorkers(0)
 			d := buildDestroyBatch(f, t, k, seed+23)
 			fmt.Fprintf(w, " %12.1f", float64(d.Microseconds())/1000)
 		}

@@ -83,7 +83,7 @@ func Connectivity(w io.Writer, n, k, q int, workers []int, seed uint64) []ConnRe
 			var delStats conn.PhaseStats
 			start := time.Now()
 			for lo := 0; lo < len(edges); lo += k {
-				g.BatchAddEdges(edges[lo:min(lo+k, len(edges))])
+				must(g.BatchAddEdges(edges[lo:min(lo+k, len(edges))]))
 			}
 			secs["add"][wi] += time.Since(start).Seconds()
 			ops["add"] += len(edges)
@@ -92,7 +92,7 @@ func Connectivity(w io.Writer, n, k, q int, workers []int, seed uint64) []ConnRe
 				// Churn: delete k random present edges, then re-add them.
 				churn := samplePresent(edges, k, r)
 				start = time.Now()
-				g.BatchDeleteEdges(churn)
+				must(g.BatchDeleteEdges(churn))
 				secs["delete"][wi] += time.Since(start).Seconds()
 				ops["delete"] += len(churn)
 				delStats.Accumulate(g.PhaseStats())
@@ -107,7 +107,7 @@ func Connectivity(w io.Writer, n, k, q int, workers []int, seed uint64) []ConnRe
 				ops["connected"] += q
 
 				start = time.Now()
-				g.BatchAddEdges(churn)
+				must(g.BatchAddEdges(churn))
 				secs["add"][wi] += time.Since(start).Seconds()
 				ops["add"] += len(churn)
 			}
@@ -187,4 +187,13 @@ func samplePresent(edges []conn.Edge, k int, r *rng.SplitMix64) []conn.Edge {
 		out[i] = edges[p]
 	}
 	return out
+}
+
+// must panics on a batch the graph layers refuse: the experiments build
+// valid batches by construction, so a refusal is a bug in the workload,
+// not a data point.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

@@ -84,7 +84,7 @@ func MSF(w io.Writer, n, k int, workers []int, seed uint64) []MSFResult {
 			var agg msf.PhaseStats
 			start := time.Now()
 			for lo := 0; lo < len(edges); lo += k {
-				m.BatchAddEdges(edges[lo:min(lo+k, len(edges))])
+				must(m.BatchAddEdges(edges[lo:min(lo+k, len(edges))]))
 				agg.Accumulate(m.PhaseStats())
 			}
 			secs["add"][wi] += time.Since(start).Seconds()
@@ -95,13 +95,13 @@ func MSF(w io.Writer, n, k int, workers []int, seed uint64) []MSFResult {
 				// the replacement search runs), then re-add them unchanged.
 				churn := sampleMSFPresent(m, edges, k, r)
 				start = time.Now()
-				m.BatchDeleteEdges(asDeletes(churn))
+				must(m.BatchDeleteEdges(asDeletes(churn)))
 				secs["delete"][wi] += time.Since(start).Seconds()
 				ops["delete"] += len(churn)
 				agg.Accumulate(m.PhaseStats())
 
 				start = time.Now()
-				m.BatchAddEdges(churn)
+				must(m.BatchAddEdges(churn))
 				secs["add"][wi] += time.Since(start).Seconds()
 				ops["add"] += len(churn)
 				agg.Accumulate(m.PhaseStats())
@@ -111,20 +111,20 @@ func MSF(w io.Writer, n, k int, workers []int, seed uint64) []MSFResult {
 				// so this is where the swap rounds earn their keep. Only the
 				// re-add is charged to weight_churn.
 				rew := sampleMSFPresent(m, edges, k, r)
-				m.BatchDeleteEdges(asDeletes(rew))
+				must(m.BatchDeleteEdges(asDeletes(rew)))
 				agg.Accumulate(m.PhaseStats())
 				for i := range rew {
 					rew[i].W = r.Int63() % (1 << 20)
 				}
 				start = time.Now()
-				m.BatchAddEdges(rew)
+				must(m.BatchAddEdges(rew))
 				secs["weight_churn"][wi] += time.Since(start).Seconds()
 				ops["weight_churn"] += len(rew)
 				agg.Accumulate(m.PhaseStats())
 				// Restore the original weights so every round (and every
 				// worker count) churns the same live edge set.
-				m.BatchDeleteEdges(asDeletes(rew))
-				m.BatchAddEdges(restoreWeights(rew, edges))
+				must(m.BatchDeleteEdges(asDeletes(rew)))
+				must(m.BatchAddEdges(restoreWeights(rew, edges)))
 			}
 			verifyRows = append(verifyRows, MSFResult{
 				Input: gr.Name, Kind: "verify", Workers: wk,

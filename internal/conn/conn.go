@@ -1,10 +1,10 @@
 package conn
 
 import (
-	"fmt"
 	"math/bits"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/parallel"
 	"repro/internal/search"
 	"repro/internal/ufo"
@@ -15,15 +15,6 @@ import (
 // the underlying forests with weight 1.
 type Edge struct {
 	U, V int
-}
-
-// key normalizes an edge to an orientation-independent map key, so (u,v)
-// and (v,u) name the same edge everywhere in this package.
-func key(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
 // SimplifyEdges normalizes a raw (possibly multi-)graph edge list into
@@ -40,7 +31,7 @@ func SimplifyEdges(raw [][2]int) []Edge {
 		if e[0] == e[1] {
 			continue
 		}
-		k := key(e[0], e[1])
+		k := admit.Key(e[0], e[1])
 		if _, dup := seen[k]; dup {
 			continue
 		}
@@ -106,7 +97,8 @@ type BatchDynamicConnectivity struct {
 	ntCount int
 	workers int
 	stats   PhaseStats
-	scratch []int // reused ComponentVertices buffer for the search sweeps
+	scratch []int       // reused ComponentVertices buffer for the search sweeps
+	chk     admit.Check // reusable pre-mutation batch check
 
 	// Delete-batch transients: per-level pending BatchLink payloads (each
 	// level's forest stays static during its own search; links flush just
@@ -215,7 +207,7 @@ func (g *BatchDynamicConnectivity) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	_, ok := g.rec[key(u, v)]
+	_, ok := g.rec[admit.Key(u, v)]
 	return ok
 }
 
@@ -227,7 +219,7 @@ func (g *BatchDynamicConnectivity) IsTreeEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	r, ok := g.rec[key(u, v)]
+	r, ok := g.rec[admit.Key(u, v)]
 	return ok && r.tree
 }
 
@@ -235,7 +227,7 @@ func (g *BatchDynamicConnectivity) IsTreeEdge(u, v int) bool {
 // is present (diagnostics and tests; levels only increase while the edge
 // stays present).
 func (g *BatchDynamicConnectivity) EdgeLevel(u, v int) (int, bool) {
-	r, ok := g.rec[key(u, v)]
+	r, ok := g.rec[admit.Key(u, v)]
 	return int(r.level), ok
 }
 
@@ -281,65 +273,11 @@ func (g *BatchDynamicConnectivity) BatchComponentIDs(vs []int) []uint64 {
 func (g *BatchDynamicConnectivity) PhaseStats() PhaseStats { return g.stats.snapshot() }
 
 // AddEdge inserts the single edge (u,v): a one-element BatchAddEdges.
-func (g *BatchDynamicConnectivity) AddEdge(u, v int) { g.BatchAddEdges([]Edge{{u, v}}) }
+func (g *BatchDynamicConnectivity) AddEdge(u, v int) error { return g.BatchAddEdges([]Edge{{u, v}}) }
 
 // DeleteEdge removes the single edge (u,v): a one-element BatchDeleteEdges.
-func (g *BatchDynamicConnectivity) DeleteEdge(u, v int) { g.BatchDeleteEdges([]Edge{{u, v}}) }
-
-// checkVertex panics when v is out of range (part of the pre-mutation
-// validation pass, so the panic is deterministic and leaves the structure
-// untouched).
-func (g *BatchDynamicConnectivity) checkVertex(v int) {
-	if v < 0 || v >= g.n {
-		panic(fmt.Sprintf("conn: vertex %d out of range [0,%d)", v, g.n))
-	}
-}
-
-// validateAddBatch enforces the BatchAddEdges preconditions before any
-// mutation: vertices in range, no self loops, no edge repeated inside the
-// batch (in either orientation), and no edge already present in the graph
-// (tree or non-tree). A recovered panic leaves the graph exactly as it
-// was.
-func (g *BatchDynamicConnectivity) validateAddBatch(edges []Edge) {
-	seen := make(map[uint64]struct{}, len(edges))
-	for _, e := range edges {
-		g.checkVertex(e.U)
-		g.checkVertex(e.V)
-		if e.U == e.V {
-			panic(fmt.Sprintf("conn: self loop %d in batch add", e.U))
-		}
-		k := key(e.U, e.V)
-		if _, dup := seen[k]; dup {
-			panic(fmt.Sprintf("conn: edge (%d,%d) repeated in batch add", e.U, e.V))
-		}
-		seen[k] = struct{}{}
-		if _, present := g.rec[k]; present {
-			panic(fmt.Sprintf("conn: duplicate edge (%d,%d)", e.U, e.V))
-		}
-	}
-}
-
-// validateDeleteBatch enforces the BatchDeleteEdges preconditions before
-// any mutation: vertices in range, no self loops (a self loop can never be
-// present), no edge repeated inside the batch in either orientation, and
-// every edge present in the graph.
-func (g *BatchDynamicConnectivity) validateDeleteBatch(edges []Edge) {
-	seen := make(map[uint64]struct{}, len(edges))
-	for _, e := range edges {
-		g.checkVertex(e.U)
-		g.checkVertex(e.V)
-		if e.U == e.V {
-			panic(fmt.Sprintf("conn: self loop %d in batch delete", e.U))
-		}
-		k := key(e.U, e.V)
-		if _, dup := seen[k]; dup {
-			panic(fmt.Sprintf("conn: edge (%d,%d) repeated in batch delete", e.U, e.V))
-		}
-		seen[k] = struct{}{}
-		if _, present := g.rec[k]; !present {
-			panic(fmt.Sprintf("conn: deleting absent edge (%d,%d)", e.U, e.V))
-		}
-	}
+func (g *BatchDynamicConnectivity) DeleteEdge(u, v int) error {
+	return g.BatchDeleteEdges([]Edge{{u, v}})
 }
 
 // classifyGrain is the smallest per-worker chunk of the classification and
@@ -355,14 +293,17 @@ var classifyGrain = 64
 // is the contract difference between this graph layer and the forest layer
 // below it.
 //
-// Adversarial batches (self loops, in-batch repeats in either orientation,
-// edges already present) panic deterministically before any mutation; see
-// validateAddBatch.
-func (g *BatchDynamicConnectivity) BatchAddEdges(edges []Edge) {
+// An adversarial batch (an endpoint out of range, a self loop, an in-batch
+// repeat in either orientation, an edge already present) is refused with
+// the shared check's typed error before any mutation.
+func (g *BatchDynamicConnectivity) BatchAddEdges(edges []Edge) error {
 	if len(edges) == 0 {
-		return
+		return nil
 	}
-	g.validateAddBatch(edges)
+	at := func(i int) (int, int) { return edges[i].U, edges[i].V }
+	if err := g.chk.Batch(admit.Add, g.n, len(edges), at, g.HasEdge); err != nil {
+		return err
+	}
 	g.beginStats(len(edges), 0)
 	start := time.Now()
 
@@ -397,18 +338,19 @@ func (g *BatchDynamicConnectivity) BatchAddEdges(edges []Edge) {
 		}
 		for _, e := range treeLinks {
 			g.teInsert(0, e.U, e.V)
-			g.rec[key(e.U, e.V)] = edgeRec{level: 0, tree: true}
+			g.rec[admit.Key(e.U, e.V)] = edgeRec{level: 0, tree: true}
 		}
 		return len(treeLinks)
 	})
 	g.timePhase(phNonTree, func() int {
 		for _, e := range nonTree {
 			g.ntInsert(0, e.U, e.V)
-			g.rec[key(e.U, e.V)] = edgeRec{level: 0, tree: false}
+			g.rec[admit.Key(e.U, e.V)] = edgeRec{level: 0, tree: false}
 		}
 		return len(nonTree)
 	})
 	g.stats.Total = time.Since(start)
+	return nil
 }
 
 // ntInsert records (u,v) as a non-tree edge at level i in both endpoints'

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/parallel"
 	"repro/internal/search"
 	"repro/internal/ufo"
@@ -56,14 +57,17 @@ type witness struct {
 // per level, flushed as one BatchLink right before the receiving level's
 // own search — or at the end of the batch for levels already searched.
 //
-// Adversarial batches (self loops, in-batch repeats in either orientation,
-// absent edges) panic deterministically before any mutation; see
-// validateDeleteBatch.
-func (g *BatchDynamicConnectivity) BatchDeleteEdges(edges []Edge) {
+// An adversarial batch (an endpoint out of range, a self loop, an
+// in-batch repeat in either orientation, an absent edge) is refused with
+// the shared check's typed error before any mutation.
+func (g *BatchDynamicConnectivity) BatchDeleteEdges(edges []Edge) error {
 	if len(edges) == 0 {
-		return
+		return nil
 	}
-	g.validateDeleteBatch(edges)
+	at := func(i int) (int, int) { return edges[i].U, edges[i].V }
+	if err := g.chk.Batch(admit.Delete, g.n, len(edges), at, g.HasEdge); err != nil {
+		return err
+	}
 	g.beginStats(0, len(edges))
 	start := time.Now()
 
@@ -74,7 +78,7 @@ func (g *BatchDynamicConnectivity) BatchDeleteEdges(edges []Edge) {
 		parallel.WorkersForRangeAuto(g.workers, len(edges), classifyGrain, func(_, lo, hi int) {
 			chaos()
 			for i := lo; i < hi; i++ {
-				recs[i] = g.rec[key(edges[i].U, edges[i].V)]
+				recs[i] = g.rec[admit.Key(edges[i].U, edges[i].V)]
 			}
 		})
 		return len(edges)
@@ -88,7 +92,7 @@ func (g *BatchDynamicConnectivity) BatchDeleteEdges(edges []Edge) {
 				continue
 			}
 			g.ntRemove(int(recs[i].level), e.U, e.V)
-			delete(g.rec, key(e.U, e.V))
+			delete(g.rec, admit.Key(e.U, e.V))
 			nt++
 		}
 		return nt
@@ -106,7 +110,7 @@ func (g *BatchDynamicConnectivity) BatchDeleteEdges(edges []Edge) {
 	}
 	if maxCutLev < 0 { // no tree edges in the batch
 		g.stats.Total = time.Since(start)
-		return
+		return nil
 	}
 	wit := make([][]witness, maxCutLev+1)
 	cuts := make([][][2]int, maxCutLev+1)
@@ -121,7 +125,7 @@ func (g *BatchDynamicConnectivity) BatchDeleteEdges(edges []Edge) {
 			cuts[j] = append(cuts[j], [2]int{e.U, e.V})
 		}
 		g.teRemove(lev, e.U, e.V)
-		delete(g.rec, key(e.U, e.V))
+		delete(g.rec, admit.Key(e.U, e.V))
 	}
 	g.timePhase(phForestCut, func() int {
 		n := 0
@@ -154,6 +158,7 @@ func (g *BatchDynamicConnectivity) BatchDeleteEdges(edges []Edge) {
 	}
 	g.shadow0 = nil
 	g.stats.Total = time.Since(start)
+	return nil
 }
 
 // flushPend applies level i's pending links as one BatchLink (charged to
@@ -286,7 +291,7 @@ func (g *BatchDynamicConnectivity) sweepClass(s *levelSearch, c *search.Class) i
 						if far == myRoot {
 							internals = append(internals, [2]int{vx, vy})
 						} else {
-							cands = append(cands, cand{k: key(vx, vy), x: vx, y: vy, far: far})
+							cands = append(cands, cand{k: admit.Key(vx, vy), x: vx, y: vy, far: far})
 						}
 					}
 				}
@@ -312,7 +317,7 @@ func (g *BatchDynamicConnectivity) sweepClass(s *levelSearch, c *search.Class) i
 						if far == myRoot {
 							internals = append(internals, [2]int{o.x, o.y})
 						} else {
-							cands = append(cands, cand{k: key(o.x, o.y), x: o.x, y: o.y, far: far})
+							cands = append(cands, cand{k: admit.Key(o.x, o.y), x: o.x, y: o.y, far: far})
 						}
 					}
 				}
@@ -361,14 +366,14 @@ func (g *BatchDynamicConnectivity) pushClassTree(s *levelSearch, c *search.Class
 		return 0
 	}
 	sort.Slice(push, func(a, b int) bool {
-		return key(push[a][0], push[a][1]) < key(push[b][0], push[b][1])
+		return admit.Key(push[a][0], push[a][1]) < admit.Key(push[b][0], push[b][1])
 	})
 	g.ensure(i + 1)
 	ls := g.perLevel(i)
 	for _, e := range push {
 		g.teRemove(i, e[0], e[1])
 		g.teInsert(i+1, e[0], e[1])
-		g.rec[key(e[0], e[1])] = edgeRec{level: int32(i + 1), tree: true}
+		g.rec[admit.Key(e[0], e[1])] = edgeRec{level: int32(i + 1), tree: true}
 		g.pend[i+1] = append(g.pend[i+1], ufo.Edge{U: e[0], V: e[1], W: 1})
 		ls.TreePushed++
 		if tePushHook != nil {
@@ -388,7 +393,7 @@ func (g *BatchDynamicConnectivity) pushInternals(i int, internals [][2]int) int 
 		return 0
 	}
 	sort.Slice(internals, func(a, b int) bool {
-		return key(internals[a][0], internals[a][1]) < key(internals[b][0], internals[b][1])
+		return admit.Key(internals[a][0], internals[a][1]) < admit.Key(internals[b][0], internals[b][1])
 	})
 	ls := g.perLevel(i)
 	moved := 0
@@ -398,7 +403,7 @@ func (g *BatchDynamicConnectivity) pushInternals(i int, internals [][2]int) int 
 		}
 		g.ntRemove(i, e[0], e[1])
 		g.ntInsert(i+1, e[0], e[1])
-		g.rec[key(e[0], e[1])] = edgeRec{level: int32(i + 1), tree: false}
+		g.rec[admit.Key(e[0], e[1])] = edgeRec{level: int32(i + 1), tree: false}
 		ls.NontreePushed++
 		moved++
 		if ntPushHook != nil {
@@ -476,7 +481,7 @@ func (g *BatchDynamicConnectivity) demote(i, x, y int) {
 	}
 	g.ntRemove(i, x, y)
 	g.ntInsert(j, x, y)
-	g.rec[key(x, y)] = edgeRec{level: int32(j), tree: false}
+	g.rec[admit.Key(x, y)] = edgeRec{level: int32(j), tree: false}
 	g.stats.Demotions++
 	if demoteHook != nil {
 		demoteHook(x, y, i, j)

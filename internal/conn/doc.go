@@ -53,12 +53,14 @@
 // and counts above GOMAXPROCS are allowed (oversubscription).
 // NewWithLevels clamps its depth to [1, DefaultLevels(n)].
 //
-// Adversarial batches panic deterministically before any mutation,
-// mirroring the forest layer's pre-mutation contract: self loops, an edge
-// repeated inside the batch in either orientation, adding an edge already
-// present (tree or non-tree), deleting an absent edge, and out-of-range
-// vertices. A recovered panic leaves the graph exactly as it was. (The
-// facade's DynamicGraph wraps the same checks as typed errors.)
+// Every batch first runs the shared pre-mutation check of internal/admit,
+// the one the forest layer panics with. Here an adversarial batch — an
+// out-of-range vertex, a self loop, an edge repeated inside the batch in
+// either orientation, adding an edge already present (tree or non-tree),
+// deleting an absent edge — is refused: BatchAddEdges and
+// BatchDeleteEdges return the check's typed error before any mutation,
+// leaving the graph exactly as it was. (The facade's DynamicGraph passes
+// the error through; its Must forms panic with it.)
 //
 // Batches must not run concurrently with each other or with queries;
 // read-only queries may run concurrently with each other between batches

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/rng"
 )
 
@@ -43,7 +44,7 @@ func sparseShapes(n int, r *rng.SplitMix64) map[string][]Edge {
 		if u == v {
 			return
 		}
-		k := key(u, v)
+		k := admit.Key(u, v)
 		if _, dup := seen[k]; dup {
 			return
 		}
@@ -144,7 +145,7 @@ func TestNoRescanPerLevel(t *testing.T) {
 			ntSeen := make(map[edgeLevelObs]bool)
 			teSeen := make(map[edgeLevelObs]bool)
 			observe := func(seen map[edgeLevelObs]bool, class string, u, v, level int) {
-				o := edgeLevelObs{k: key(u, v), level: level, epoch: epoch[key(u, v)]}
+				o := edgeLevelObs{k: admit.Key(u, v), level: level, epoch: epoch[admit.Key(u, v)]}
 				if seen[o] {
 					t.Errorf("%s edge (%d,%d) consumed twice at level %d in epoch %d",
 						class, u, v, level, o.epoch)
@@ -156,7 +157,7 @@ func TestNoRescanPerLevel(t *testing.T) {
 			promoteHook = func(u, v, level int) { observe(ntSeen, "promoted", u, v, level) }
 			demoteHook = func(u, v, fromLevel, _ int) {
 				observe(ntSeen, "demoted", u, v, fromLevel)
-				epoch[key(u, v)]++ // the defensive path re-buckets the edge: fresh epoch
+				epoch[admit.Key(u, v)]++ // the defensive path re-buckets the edge: fresh epoch
 			}
 			t.Cleanup(func() {
 				ntPushHook, tePushHook, promoteHook, demoteHook = nil, nil, nil, nil
@@ -178,7 +179,7 @@ func TestNoRescanPerLevel(t *testing.T) {
 				}
 				g.BatchDeleteEdges(churn)
 				for _, e := range churn {
-					epoch[key(e.U, e.V)]++
+					epoch[admit.Key(e.U, e.V)]++
 				}
 				g.BatchAddEdges(churn)
 			}

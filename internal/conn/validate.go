@@ -1,6 +1,10 @@
 package conn
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/admit"
+)
 
 // Validate checks the multi-level structural invariants exhaustively and
 // returns the first violation found (nil when the structure is sound). It
@@ -106,7 +110,7 @@ func bucketHas(b []map[int]struct{}, u, v int) bool {
 func (g *BatchDynamicConnectivity) checkBucketsRecorded(i int) error {
 	for u, m := range g.lv[i].te {
 		for v := range m {
-			r, ok := g.rec[key(u, v)]
+			r, ok := g.rec[admit.Key(u, v)]
 			if !ok || !r.tree || int(r.level) != i {
 				return fmt.Errorf("conn: orphan te bucket entry (%d,%d) at level %d", u, v, i)
 			}
@@ -114,7 +118,7 @@ func (g *BatchDynamicConnectivity) checkBucketsRecorded(i int) error {
 	}
 	for u, m := range g.lv[i].nt {
 		for v := range m {
-			r, ok := g.rec[key(u, v)]
+			r, ok := g.rec[admit.Key(u, v)]
 			if !ok || r.tree || int(r.level) != i {
 				return fmt.Errorf("conn: orphan nt bucket entry (%d,%d) at level %d", u, v, i)
 			}

@@ -3,6 +3,7 @@ package ett
 import (
 	"fmt"
 
+	"repro/internal/admit"
 	"repro/internal/parallel"
 )
 
@@ -17,44 +18,32 @@ import (
 // serially up front so the parallel phase performs only splits and joins on
 // disjoint node sets.
 
-// SetParallel enables goroutine parallelism across independent component
-// groups in batch operations (GOMAXPROCS workers for batch queries).
-func (f *Forest[N, B]) SetParallel(p bool) {
-	f.par = p
-	if p {
-		f.workers = parallel.Procs()
-	} else {
-		f.workers = 1
-	}
-}
-
 // SetWorkers fixes the worker count used by parallel batch queries and
 // toggles batch-update parallelism (the update path parallelizes across
 // component groups with fork-join, so it has no tunable width). Clamp
-// rules match the facade contract: k <= 0 defaults to GOMAXPROCS (the
-// SetParallel(true) configuration), k == 1 is fully serial, and
-// oversubscribed counts pass through.
+// rules match the facade contract: k <= 0 defaults to GOMAXPROCS, k == 1
+// is fully serial, and oversubscribed counts pass through.
 func (f *Forest[N, B]) SetWorkers(k int) {
 	if k <= 0 {
 		k = parallel.Procs()
 	}
 	f.workers = k
-	f.par = k > 1
 }
 
 // Workers reports the configured batch worker count.
-func (f *Forest[N, B]) Workers() int {
-	if f.workers < 1 {
-		return 1
-	}
-	return f.workers
-}
+func (f *Forest[N, B]) Workers() int { return f.workers }
 
 // BatchLink inserts a batch of edges. The batch together with the current
-// forest must remain a forest, and no edge may repeat.
+// forest must remain a forest. A batch that breaks a rule of the shared
+// pre-mutation check (internal/admit) panics with its error before any
+// mutation.
 func (f *Forest[N, B]) BatchLink(edges [][2]int) {
 	if len(edges) == 0 {
 		return
+	}
+	at := func(i int) (int, int) { return edges[i][0], edges[i][1] }
+	if err := f.chk.Batch(admit.Link, f.N(), len(edges), at, f.HasEdge); err != nil {
+		panic(err)
 	}
 	// Pre-allocate arc nodes and register edges serially (shared RNG and
 	// map are not touched in the parallel phase).
@@ -65,18 +54,12 @@ func (f *Forest[N, B]) BatchLink(edges [][2]int) {
 	ops := make([]linkOp, len(edges))
 	for i, e := range edges {
 		u, v := e[0], e[1]
-		if u == v {
-			panic(fmt.Sprintf("ett: self loop %d", u))
-		}
-		if f.HasEdge(u, v) {
-			panic(fmt.Sprintf("ett: duplicate edge (%d,%d)", u, v))
-		}
 		auv := f.b.NewNode(0, false)
 		avu := f.b.NewNode(0, false)
 		if u < v {
-			f.arcs[edgeKey(u, v)] = [2]N{auv, avu}
+			f.arcs[admit.Key(u, v)] = [2]N{auv, avu}
 		} else {
-			f.arcs[edgeKey(u, v)] = [2]N{avu, auv}
+			f.arcs[admit.Key(u, v)] = [2]N{avu, auv}
 		}
 		ops[i] = linkOp{u, v, auv, avu}
 	}
@@ -117,19 +100,22 @@ func (f *Forest[N, B]) BatchLink(edges [][2]int) {
 	f.runGroups(groups, apply)
 }
 
-// BatchCut removes a batch of distinct existing edges.
+// BatchCut removes a batch of distinct existing edges. Like BatchLink, a
+// batch that breaks a rule of the shared check panics with its error
+// before any mutation.
 func (f *Forest[N, B]) BatchCut(edges [][2]int) {
 	if len(edges) == 0 {
 		return
+	}
+	at := func(i int) (int, int) { return edges[i][0], edges[i][1] }
+	if err := f.chk.Batch(admit.Cut, f.N(), len(edges), at, f.HasEdge); err != nil {
+		panic(err)
 	}
 	// Group edges by the component (tour) they currently belong to; cuts
 	// within one tour must be sequential, across tours they commute.
 	reprID := map[N]int{}
 	groups := map[int][]int{}
 	for i, e := range edges {
-		if !f.HasEdge(e[0], e[1]) {
-			panic(fmt.Sprintf("ett: cutting absent edge (%d,%d)", e[0], e[1]))
-		}
 		r := f.b.Repr(f.verts[e[0]])
 		id, ok := reprID[r]
 		if !ok {
@@ -147,7 +133,7 @@ func (f *Forest[N, B]) BatchCut(edges [][2]int) {
 	// Release arc nodes serially (shared map).
 	for _, e := range edges {
 		auv, avu, _ := f.arcsOf(e[0], e[1])
-		delete(f.arcs, edgeKey(e[0], e[1]))
+		delete(f.arcs, admit.Key(e[0], e[1]))
 		f.b.Free(auv)
 		f.b.Free(avu)
 	}
@@ -172,7 +158,7 @@ func (f *Forest[N, B]) cutNodes(u, v int) {
 }
 
 func (f *Forest[N, B]) runGroups(groups map[int][]int, apply func([]int)) {
-	if len(groups) == 1 || !f.par {
+	if len(groups) == 1 || f.workers == 1 {
 		for _, idxs := range groups {
 			apply(idxs)
 		}

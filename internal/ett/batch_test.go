@@ -12,16 +12,19 @@ type batchForest interface {
 	forest
 	BatchLink([][2]int)
 	BatchCut([][2]int)
-	SetParallel(bool)
+	SetWorkers(int)
 }
 
+// batchBackends returns one forest per backend, each fanned out over an
+// explicit four workers so the grouped batch paths run in parallel even
+// on a one-CPU host.
 func batchBackends(n int) []batchForest {
 	a := NewTreap(n, 7)
 	b := NewSplay(n)
 	c := NewSkipList(n, 8)
-	a.SetParallel(true)
-	b.SetParallel(true)
-	c.SetParallel(true)
+	a.SetWorkers(4)
+	b.SetWorkers(4)
+	c.SetWorkers(4)
 	return []batchForest{a, b, c}
 }
 
@@ -135,7 +138,6 @@ func TestBatchPanicsOnBadInput(t *testing.T) {
 
 type batchQueryForest interface {
 	batchForest
-	SetWorkers(int)
 	Workers() int
 	BatchConnected([][2]int) []bool
 	BatchSubtreeSum([][2]int) []int64

@@ -3,6 +3,7 @@ package ett
 import (
 	"fmt"
 
+	"repro/internal/admit"
 	"repro/internal/seq"
 )
 
@@ -12,13 +13,13 @@ type Forest[N comparable, B seq.Backend[N]] struct {
 	b       B
 	verts   []N
 	arcs    map[uint64][2]N // canonical edge key -> [arc lo->hi, arc hi->lo]
-	par     bool            // parallel batch mode (across component groups)
-	workers int             // worker count for parallel batch queries (0/1 = serial)
+	workers int             // batch worker count (1 = serial)
+	chk     admit.Check     // reusable pre-mutation batch check
 }
 
 // New returns an empty forest over vertices 0..n-1 using backend b.
 func New[N comparable, B seq.Backend[N]](n int, b B) *Forest[N, B] {
-	f := &Forest[N, B]{b: b, verts: make([]N, n), arcs: make(map[uint64][2]N, n)}
+	f := &Forest[N, B]{b: b, verts: make([]N, n), arcs: make(map[uint64][2]N, n), workers: 1}
 	for i := range f.verts {
 		f.verts[i] = b.NewNode(0, true)
 	}
@@ -46,17 +47,10 @@ func (f *Forest[N, B]) N() int { return len(f.verts) }
 // BackendName reports the sequence backend in use.
 func (f *Forest[N, B]) BackendName() string { return f.b.Name() }
 
-func edgeKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(uint32(v))
-}
-
 // arcsOf returns the arc nodes (u->v, v->u) for edge (u,v), resolving the
 // canonical storage orientation.
 func (f *Forest[N, B]) arcsOf(u, v int) (uv, vu N, ok bool) {
-	pair, found := f.arcs[edgeKey(u, v)]
+	pair, found := f.arcs[admit.Key(u, v)]
 	if !found {
 		var zero N
 		return zero, zero, false
@@ -69,7 +63,7 @@ func (f *Forest[N, B]) arcsOf(u, v int) (uv, vu N, ok bool) {
 
 // HasEdge reports whether edge (u,v) is present.
 func (f *Forest[N, B]) HasEdge(u, v int) bool {
-	_, ok := f.arcs[edgeKey(u, v)]
+	_, ok := f.arcs[admit.Key(u, v)]
 	return ok
 }
 
@@ -101,9 +95,9 @@ func (f *Forest[N, B]) Link(u, v int) {
 	auv := f.b.NewNode(0, false)
 	avu := f.b.NewNode(0, false)
 	if u < v {
-		f.arcs[edgeKey(u, v)] = [2]N{auv, avu}
+		f.arcs[admit.Key(u, v)] = [2]N{auv, avu}
 	} else {
-		f.arcs[edgeKey(u, v)] = [2]N{avu, auv}
+		f.arcs[admit.Key(u, v)] = [2]N{avu, auv}
 	}
 	// New tour: ET(u) ++ [u->v] ++ ET(v) ++ [v->u].
 	s := f.b.Join(ru, f.b.Repr(auv))
@@ -117,7 +111,7 @@ func (f *Forest[N, B]) Cut(u, v int) {
 	if !ok {
 		panic(fmt.Sprintf("ett: cutting absent edge (%d,%d)", u, v))
 	}
-	delete(f.arcs, edgeKey(u, v))
+	delete(f.arcs, admit.Key(u, v))
 	// Normalize to first/second by tour order: split before auv and test
 	// which side avu landed on.
 	first, second := auv, avu

@@ -3,6 +3,8 @@ package linkcut
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/admit"
 )
 
 type node struct {
@@ -44,13 +46,6 @@ func New(n int) *Forest {
 
 // N returns the number of vertices.
 func (f *Forest) N() int { return len(f.verts) }
-
-func edgeKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(uint32(v))
-}
 
 func (x *node) isSplayRoot() bool {
 	return x.parent == nil || (x.parent.left != x && x.parent.right != x)
@@ -193,7 +188,7 @@ func (f *Forest) Connected(u, v int) bool {
 
 // HasEdge reports whether edge (u,v) is present.
 func (f *Forest) HasEdge(u, v int) bool {
-	_, ok := f.edges[edgeKey(u, v)]
+	_, ok := f.edges[admit.Key(u, v)]
 	return ok
 }
 
@@ -208,7 +203,7 @@ func (f *Forest) Link(u, v int, w int64) {
 	}
 	e := &node{val: w, isEdge: true, id: -1}
 	e.pull()
-	f.edges[edgeKey(u, v)] = e
+	f.edges[admit.Key(u, v)] = e
 	un, vn := &f.verts[u], &f.verts[v]
 	// Attach u - e - v: make u a root and hang it under e, then hang e
 	// under v.
@@ -221,7 +216,7 @@ func (f *Forest) Link(u, v int, w int64) {
 
 // Cut removes edge (u,v). The edge must exist.
 func (f *Forest) Cut(u, v int) {
-	key := edgeKey(u, v)
+	key := admit.Key(u, v)
 	e, ok := f.edges[key]
 	if !ok {
 		panic(fmt.Sprintf("linkcut: cutting absent edge (%d,%d)", u, v))
@@ -282,7 +277,7 @@ func (f *Forest) PathMax(u, v int) (max int64, ok bool) {
 
 // UpdateWeight changes the weight of edge (u,v).
 func (f *Forest) UpdateWeight(u, v int, w int64) {
-	e, ok := f.edges[edgeKey(u, v)]
+	e, ok := f.edges[admit.Key(u, v)]
 	if !ok {
 		panic(fmt.Sprintf("linkcut: updating absent edge (%d,%d)", u, v))
 	}

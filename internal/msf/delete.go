@@ -3,6 +3,7 @@ package msf
 import (
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/parallel"
 	"repro/internal/search"
 	"repro/internal/ufo"
@@ -32,14 +33,17 @@ type witness struct {
 // flushed as one BatchLink after each group's search, keeping the forest
 // static (and the overlay's component ids stable) while the group runs.
 //
-// Adversarial batches (self loops, in-batch repeats in either orientation,
-// absent edges) panic deterministically before any mutation; see
-// validateDeleteBatch.
-func (m *BatchDynamicMSF) BatchDeleteEdges(edges []Edge) {
+// An adversarial batch (an endpoint out of range, a self loop, an
+// in-batch repeat in either orientation, an absent edge) is refused with
+// the shared check's typed error before any mutation.
+func (m *BatchDynamicMSF) BatchDeleteEdges(edges []Edge) error {
 	if len(edges) == 0 {
-		return
+		return nil
 	}
-	m.validateDeleteBatch(edges)
+	at := func(i int) (int, int) { return edges[i].U, edges[i].V }
+	if err := m.chk.Batch(admit.Delete, m.n, len(edges), at, m.HasEdge); err != nil {
+		return err
+	}
 	m.beginStats(0, len(edges))
 	start := time.Now()
 
@@ -50,7 +54,7 @@ func (m *BatchDynamicMSF) BatchDeleteEdges(edges []Edge) {
 		parallel.WorkersForRangeAuto(m.workers, len(edges), classifyGrain, func(_, lo, hi int) {
 			chaos()
 			for i := lo; i < hi; i++ {
-				recs[i] = m.rec[key(edges[i].U, edges[i].V)]
+				recs[i] = m.rec[admit.Key(edges[i].U, edges[i].V)]
 			}
 		})
 		return len(edges)
@@ -64,7 +68,7 @@ func (m *BatchDynamicMSF) BatchDeleteEdges(edges []Edge) {
 				continue
 			}
 			m.ntRemove(e.U, e.V)
-			delete(m.rec, key(e.U, e.V))
+			delete(m.rec, admit.Key(e.U, e.V))
 			nt++
 		}
 		return nt
@@ -82,11 +86,11 @@ func (m *BatchDynamicMSF) BatchDeleteEdges(edges []Edge) {
 		wit = append(wit, witness{e.U, gid}, witness{e.V, gid})
 		cuts = append(cuts, [2]int{e.U, e.V})
 		m.total -= recs[i].w
-		delete(m.rec, key(e.U, e.V))
+		delete(m.rec, admit.Key(e.U, e.V))
 	}
 	if len(cuts) == 0 {
 		m.stats.Total = time.Since(start)
-		return
+		return nil
 	}
 	m.timePhase(phForestCut, func() int {
 		m.f.BatchCut(cuts)
@@ -106,6 +110,7 @@ func (m *BatchDynamicMSF) BatchDeleteEdges(edges []Edge) {
 		m.searchGroup(groups[gid])
 	}
 	m.stats.Total = time.Since(start)
+	return nil
 }
 
 // msfSearch is the per-group search state: the shared replacement-search
@@ -180,7 +185,7 @@ func (m *BatchDynamicMSF) sweepClass(s *msfSearch, c *search.Class) int {
 		if far == myRoot {
 			return
 		}
-		k := key(x, y)
+		k := admit.Key(x, y)
 		if best == nil || less(w, k, best.w, best.k) {
 			best = &cand{w: w, k: k, x: x, y: y, far: far}
 		}

@@ -33,10 +33,13 @@
 // single minimum-(weight, key) crossing edge, the cut-property-safe
 // choice (Borůvka's rule, one promotion per sweep).
 //
-// Batch preconditions mirror conn: self loops, in-batch repeats in either
-// orientation, adds of present edges, and deletes of absent edges panic
-// deterministically before any mutation. The facade (ufotree.DynamicMSF)
-// converts the same checks into typed errors.
+// Batch preconditions mirror conn: every batch first runs the shared
+// pre-mutation check of internal/admit, and an out-of-range vertex, a
+// self loop, an in-batch repeat in either orientation, an add of a
+// present edge, or a delete of an absent edge makes BatchAddEdges or
+// BatchDeleteEdges return the check's typed error before any mutation.
+// The facade (ufotree.DynamicMSF) passes the error through; its Must
+// forms panic with it.
 //
 // Concurrency contract: batches must not run concurrently with each other
 // or with queries; read-only queries may run concurrently with each other

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/parallel"
 	"repro/internal/search"
 	"repro/internal/ufo"
@@ -18,20 +19,11 @@ type Edge struct {
 	W    int64
 }
 
-// key normalizes an edge to an orientation-independent map key, so (u,v)
-// and (v,u) name the same edge everywhere in this package. The packing
-// matches the forest engine's edge keys, so PathMaxEdge answers compare
-// directly.
-func key(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
 // less reports whether edge (w1,k1) precedes (w2,k2) in the total order
-// the structure minimizes over: weight first, normalized edge key breaking
-// ties. The unique MSF is the Kruskal forest of this order.
+// the structure minimizes over: weight first, normalized edge key
+// (admit.Key, the forest engine's key too, so PathMaxEdge answers compare
+// directly) breaking ties. The unique MSF is the Kruskal forest of this
+// order.
 func less(w1 int64, k1 uint64, w2 int64, k2 uint64) bool {
 	return w1 < w2 || (w1 == w2 && k1 < k2)
 }
@@ -54,7 +46,7 @@ func SimplifyEdges(raw []Edge) []Edge {
 		if e.U == e.V {
 			continue
 		}
-		k := key(e.U, e.V)
+		k := admit.Key(e.U, e.V)
 		if _, dup := seen[k]; dup {
 			continue
 		}
@@ -83,7 +75,8 @@ type BatchDynamicMSF struct {
 	total   int64 // sum of tree-edge weights
 	workers int
 	stats   PhaseStats
-	scratch []int // reused ComponentVertices buffer for the search sweeps
+	scratch []int       // reused ComponentVertices buffer for the search sweeps
+	chk     admit.Check // reusable pre-mutation batch check
 }
 
 // New returns an empty minimum spanning forest over n vertices (no edges,
@@ -137,7 +130,7 @@ func (m *BatchDynamicMSF) HasEdge(u, v int) bool {
 	if u < 0 || u >= m.n || v < 0 || v >= m.n {
 		return false
 	}
-	_, ok := m.rec[key(u, v)]
+	_, ok := m.rec[admit.Key(u, v)]
 	return ok
 }
 
@@ -146,7 +139,7 @@ func (m *BatchDynamicMSF) EdgeWeight(u, v int) (int64, bool) {
 	if u < 0 || u >= m.n || v < 0 || v >= m.n {
 		return 0, false
 	}
-	r, ok := m.rec[key(u, v)]
+	r, ok := m.rec[admit.Key(u, v)]
 	return r.w, ok
 }
 
@@ -157,7 +150,7 @@ func (m *BatchDynamicMSF) IsTreeEdge(u, v int) bool {
 	if u < 0 || u >= m.n || v < 0 || v >= m.n {
 		return false
 	}
-	r, ok := m.rec[key(u, v)]
+	r, ok := m.rec[admit.Key(u, v)]
 	return ok && r.tree
 }
 
@@ -187,7 +180,7 @@ func (m *BatchDynamicMSF) TreeEdges() []Edge {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
-		return key(out[a].U, out[a].V) < key(out[b].U, out[b].V)
+		return admit.Key(out[a].U, out[a].V) < admit.Key(out[b].U, out[b].V)
 	})
 	return out
 }
@@ -204,67 +197,13 @@ func (m *BatchDynamicMSF) Forest() *ufo.Forest { return m.f }
 func (m *BatchDynamicMSF) PhaseStats() PhaseStats { return m.stats.snapshot() }
 
 // AddEdge inserts the single edge (u,v,w): a one-element BatchAddEdges.
-func (m *BatchDynamicMSF) AddEdge(u, v int, w int64) {
-	m.BatchAddEdges([]Edge{{U: u, V: v, W: w}})
+func (m *BatchDynamicMSF) AddEdge(u, v int, w int64) error {
+	return m.BatchAddEdges([]Edge{{U: u, V: v, W: w}})
 }
 
 // DeleteEdge removes the single edge (u,v): a one-element BatchDeleteEdges.
-func (m *BatchDynamicMSF) DeleteEdge(u, v int) {
-	m.BatchDeleteEdges([]Edge{{U: u, V: v}})
-}
-
-// checkVertex panics when v is out of range (part of the pre-mutation
-// validation pass, so the panic is deterministic and leaves the structure
-// untouched).
-func (m *BatchDynamicMSF) checkVertex(v int) {
-	if v < 0 || v >= m.n {
-		panic(fmt.Sprintf("msf: vertex %d out of range [0,%d)", v, m.n))
-	}
-}
-
-// validateAddBatch enforces the BatchAddEdges preconditions before any
-// mutation: vertices in range, no self loops, no edge repeated inside the
-// batch (in either orientation), and no edge already present. A recovered
-// panic leaves the structure exactly as it was.
-func (m *BatchDynamicMSF) validateAddBatch(edges []Edge) {
-	seen := make(map[uint64]struct{}, len(edges))
-	for _, e := range edges {
-		m.checkVertex(e.U)
-		m.checkVertex(e.V)
-		if e.U == e.V {
-			panic(fmt.Sprintf("msf: self loop %d in batch add", e.U))
-		}
-		k := key(e.U, e.V)
-		if _, dup := seen[k]; dup {
-			panic(fmt.Sprintf("msf: edge (%d,%d) repeated in batch add", e.U, e.V))
-		}
-		seen[k] = struct{}{}
-		if _, present := m.rec[k]; present {
-			panic(fmt.Sprintf("msf: duplicate edge (%d,%d)", e.U, e.V))
-		}
-	}
-}
-
-// validateDeleteBatch enforces the BatchDeleteEdges preconditions before
-// any mutation: vertices in range, no self loops, no edge repeated inside
-// the batch in either orientation, and every edge present.
-func (m *BatchDynamicMSF) validateDeleteBatch(edges []Edge) {
-	seen := make(map[uint64]struct{}, len(edges))
-	for _, e := range edges {
-		m.checkVertex(e.U)
-		m.checkVertex(e.V)
-		if e.U == e.V {
-			panic(fmt.Sprintf("msf: self loop %d in batch delete", e.U))
-		}
-		k := key(e.U, e.V)
-		if _, dup := seen[k]; dup {
-			panic(fmt.Sprintf("msf: edge (%d,%d) repeated in batch delete", e.U, e.V))
-		}
-		seen[k] = struct{}{}
-		if _, present := m.rec[k]; !present {
-			panic(fmt.Sprintf("msf: deleting absent edge (%d,%d)", e.U, e.V))
-		}
-	}
+func (m *BatchDynamicMSF) DeleteEdge(u, v int) error {
+	return m.BatchDeleteEdges([]Edge{{U: u, V: v}})
 }
 
 // classifyGrain is the smallest per-worker chunk of the classification
@@ -305,14 +244,17 @@ func (m *BatchDynamicMSF) ntRemove(u, v int) {
 // and the rounds end when none is left. The result is the unique MSF of
 // the live graph.
 //
-// Adversarial batches (self loops, in-batch repeats in either orientation,
-// edges already present) panic deterministically before any mutation; see
-// validateAddBatch.
-func (m *BatchDynamicMSF) BatchAddEdges(edges []Edge) {
+// An adversarial batch (an endpoint out of range, a self loop, an in-batch
+// repeat in either orientation, an edge already present) is refused with
+// the shared check's typed error before any mutation.
+func (m *BatchDynamicMSF) BatchAddEdges(edges []Edge) error {
 	if len(edges) == 0 {
-		return
+		return nil
 	}
-	m.validateAddBatch(edges)
+	at := func(i int) (int, int) { return edges[i].U, edges[i].V }
+	if err := m.chk.Batch(admit.Add, m.n, len(edges), at, m.HasEdge); err != nil {
+		return err
+	}
 	m.beginStats(len(edges), 0)
 	start := time.Now()
 
@@ -345,7 +287,7 @@ func (m *BatchDynamicMSF) BatchAddEdges(edges []Edge) {
 			m.f.BatchLink(treeLinks)
 		}
 		for _, e := range treeLinks {
-			m.rec[key(e.U, e.V)] = edgeRec{w: e.W, tree: true}
+			m.rec[admit.Key(e.U, e.V)] = edgeRec{w: e.W, tree: true}
 			m.total += e.W
 		}
 		return len(treeLinks)
@@ -358,6 +300,7 @@ func (m *BatchDynamicMSF) BatchAddEdges(edges []Edge) {
 	// unique MSF.
 	m.swapRounds(pool)
 	m.stats.Total = time.Since(start)
+	return nil
 }
 
 // swapRounds runs the cycle-max rounds over the candidate pool. Each round
@@ -409,7 +352,7 @@ func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
 			if !mok[i] {
 				panic(fmt.Sprintf("msf: candidate (%d,%d) lost forest connectivity", e.U, e.V))
 			}
-			if less(e.W, key(e.U, e.V), mw[i], key(mx[i], my[i])) {
+			if less(e.W, admit.Key(e.U, e.V), mw[i], admit.Key(mx[i], my[i])) {
 				winners = append(winners, i)
 			} else {
 				settled = append(settled, e)
@@ -420,7 +363,7 @@ func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
 		}
 		sort.Slice(winners, func(a, b int) bool {
 			ea, eb := pool[winners[a]], pool[winners[b]]
-			return less(ea.W, key(ea.U, ea.V), eb.W, key(eb.U, eb.V))
+			return less(ea.W, admit.Key(ea.U, ea.V), eb.W, admit.Key(eb.U, eb.V))
 		})
 
 		evicted := make(map[uint64]bool, len(winners))
@@ -430,7 +373,7 @@ func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
 		tSwap := time.Now()
 		for _, i := range winners {
 			e := pool[i]
-			ek := key(mx[i], my[i])
+			ek := admit.Key(mx[i], my[i])
 			if evicted[ek] {
 				deferred = append(deferred, e)
 				continue
@@ -439,7 +382,7 @@ func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
 			cuts = append(cuts, [2]int{mx[i], my[i]})
 			links = append(links, ufo.Edge{U: e.U, V: e.V, W: e.W})
 			settled = append(settled, Edge{U: mx[i], V: my[i], W: mw[i]})
-			m.rec[key(e.U, e.V)] = edgeRec{w: e.W, tree: true}
+			m.rec[admit.Key(e.U, e.V)] = edgeRec{w: e.W, tree: true}
 			m.total += e.W - mw[i]
 			m.stats.Swaps++
 		}
@@ -455,7 +398,7 @@ func (m *BatchDynamicMSF) swapRounds(pool []Edge) {
 
 	m.timePhase(phNonTree, func() int {
 		for _, e := range settled {
-			m.rec[key(e.U, e.V)] = edgeRec{w: e.W, tree: false}
+			m.rec[admit.Key(e.U, e.V)] = edgeRec{w: e.W, tree: false}
 			m.ntInsert(e.U, e.V, e.W)
 		}
 		return len(settled)

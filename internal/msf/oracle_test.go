@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/rng"
 )
 
@@ -22,13 +23,13 @@ func newOracle(n int) *oracle {
 
 func (o *oracle) add(es []Edge) {
 	for _, e := range es {
-		o.edges[key(e.U, e.V)] = e.W
+		o.edges[admit.Key(e.U, e.V)] = e.W
 	}
 }
 
 func (o *oracle) del(es []Edge) {
 	for _, e := range es {
-		delete(o.edges, key(e.U, e.V))
+		delete(o.edges, admit.Key(e.U, e.V))
 	}
 }
 
@@ -133,7 +134,7 @@ func checkAgainstKruskal(t *testing.T, m *BatchDynamicMSF, o *oracle, r *rng.Spl
 		t.Fatalf("TreeEdges has %d edges, Kruskal forest has %d", len(gotEdges), len(wantTree))
 	}
 	for i, e := range gotEdges {
-		k := key(e.U, e.V)
+		k := admit.Key(e.U, e.V)
 		if k != wantTree[i] {
 			wu, wv := endpoints(wantTree[i])
 			t.Fatalf("tree edge %d: got (%d,%d), Kruskal has (%d,%d)", i, e.U, e.V, wu, wv)
@@ -189,7 +190,7 @@ func churn(t *testing.T, m *BatchDynamicMSF, o *oracle, r *rng.SplitMix64, addK,
 		if u == v {
 			continue
 		}
-		k := key(u, v)
+		k := admit.Key(u, v)
 		if _, dup := seen[k]; dup {
 			continue
 		}

@@ -1,10 +1,12 @@
 package msf
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/gen"
 	"repro/internal/rng"
 )
@@ -58,7 +60,7 @@ func checkCycleProperty(t *testing.T, m *BatchDynamicMSF, o *oracle) {
 			nts = append(nts, ntEdge{u, v, w})
 		}
 	}
-	sort.Slice(nts, func(i, j int) bool { return key(nts[i].u, nts[i].v) < key(nts[j].u, nts[j].v) })
+	sort.Slice(nts, func(i, j int) bool { return admit.Key(nts[i].u, nts[i].v) < admit.Key(nts[j].u, nts[j].v) })
 	if len(nts) == 0 {
 		return
 	}
@@ -77,7 +79,7 @@ func checkCycleProperty(t *testing.T, m *BatchDynamicMSF, o *oracle) {
 			t.Fatalf("BatchPathMaxEdge weight %d disagrees with BatchPathMax %d for (%d,%d)",
 				mw[i], bw[i], e.u, e.v)
 		}
-		if less(e.w, key(e.u, e.v), mw[i], key(mx[i], my[i])) {
+		if less(e.w, admit.Key(e.u, e.v), mw[i], admit.Key(mx[i], my[i])) {
 			t.Fatalf("cycle property violated: non-tree (%d,%d,w=%d) precedes path max (%d,%d,w=%d)",
 				e.u, e.v, e.w, mx[i], my[i], mw[i])
 		}
@@ -294,8 +296,10 @@ func TestPhaseStatsInvariants(t *testing.T) {
 }
 
 // TestAdversarialBatchesPanicPreMutation drives the full invalid-batch
-// matrix through both batch entry points and asserts each panics before
-// any mutation: every observable equals its pre-call snapshot afterwards.
+// matrix through both batch entry points and asserts each is refused with
+// the shared check's typed error before any mutation: every observable
+// equals its pre-call snapshot afterwards. (The name is kept so the test's
+// ID stays stable.)
 func TestAdversarialBatchesPanicPreMutation(t *testing.T) {
 	build := func() *BatchDynamicMSF {
 		m := New(6)
@@ -307,43 +311,43 @@ func TestAdversarialBatchesPanicPreMutation(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		op   func(m *BatchDynamicMSF)
+		want error
+		op   func(m *BatchDynamicMSF) error
 	}{
-		{"add self loop", func(m *BatchDynamicMSF) { m.BatchAddEdges([]Edge{{5, 5, 1}}) }},
-		{"add duplicate of present edge", func(m *BatchDynamicMSF) { m.BatchAddEdges([]Edge{{4, 5, 1}, {0, 1, 7}}) }},
-		{"add present edge reversed", func(m *BatchDynamicMSF) { m.BatchAddEdges([]Edge{{1, 0, 7}}) }},
-		{"add repeat within batch", func(m *BatchDynamicMSF) { m.BatchAddEdges([]Edge{{4, 5, 1}, {4, 5, 2}}) }},
-		{"add repeat within batch reversed", func(m *BatchDynamicMSF) { m.BatchAddEdges([]Edge{{4, 5, 1}, {5, 4, 2}}) }},
-		{"add vertex out of range", func(m *BatchDynamicMSF) { m.BatchAddEdges([]Edge{{0, 6, 1}}) }},
-		{"add negative vertex", func(m *BatchDynamicMSF) { m.BatchAddEdges([]Edge{{-1, 2, 1}}) }},
-		{"delete absent edge", func(m *BatchDynamicMSF) { m.BatchDeleteEdges([]Edge{{U: 0, V: 3}}) }},
-		{"delete self loop", func(m *BatchDynamicMSF) { m.BatchDeleteEdges([]Edge{{U: 2, V: 2}}) }},
-		{"delete repeat within batch", func(m *BatchDynamicMSF) { m.BatchDeleteEdges([]Edge{{U: 0, V: 1}, {U: 1, V: 0}}) }},
-		{"delete vertex out of range", func(m *BatchDynamicMSF) { m.BatchDeleteEdges([]Edge{{U: 0, V: 17}}) }},
+		{"add self loop", admit.ErrSelfLoop, func(m *BatchDynamicMSF) error { return m.BatchAddEdges([]Edge{{5, 5, 1}}) }},
+		{"add duplicate of present edge", admit.ErrDuplicateEdge, func(m *BatchDynamicMSF) error { return m.BatchAddEdges([]Edge{{4, 5, 1}, {0, 1, 7}}) }},
+		{"add present edge reversed", admit.ErrDuplicateEdge, func(m *BatchDynamicMSF) error { return m.BatchAddEdges([]Edge{{1, 0, 7}}) }},
+		{"add repeat within batch", admit.ErrDuplicateEdge, func(m *BatchDynamicMSF) error { return m.BatchAddEdges([]Edge{{4, 5, 1}, {4, 5, 2}}) }},
+		{"add repeat within batch reversed", admit.ErrDuplicateEdge, func(m *BatchDynamicMSF) error { return m.BatchAddEdges([]Edge{{4, 5, 1}, {5, 4, 2}}) }},
+		{"add vertex out of range", admit.ErrVertexRange, func(m *BatchDynamicMSF) error { return m.BatchAddEdges([]Edge{{0, 6, 1}}) }},
+		{"add negative vertex", admit.ErrVertexRange, func(m *BatchDynamicMSF) error { return m.BatchAddEdges([]Edge{{-1, 2, 1}}) }},
+		{"delete absent edge", admit.ErrAbsentCut, func(m *BatchDynamicMSF) error { return m.BatchDeleteEdges([]Edge{{U: 0, V: 3}}) }},
+		{"delete self loop", admit.ErrSelfLoop, func(m *BatchDynamicMSF) error { return m.BatchDeleteEdges([]Edge{{U: 2, V: 2}}) }},
+		{"delete repeat within batch", admit.ErrAbsentCut, func(m *BatchDynamicMSF) error {
+			return m.BatchDeleteEdges([]Edge{{U: 0, V: 1}, {U: 1, V: 0}})
+		}},
+		{"delete vertex out of range", admit.ErrVertexRange, func(m *BatchDynamicMSF) error { return m.BatchDeleteEdges([]Edge{{U: 0, V: 17}}) }},
 		// The one whole-batch rejection the add matrix implies for cut+add
 		// interplay: a delete of an edge added earlier in the same logical
 		// step must be split by the caller — inside one batch it is absent.
-		{"delete edge from same logical step", func(m *BatchDynamicMSF) { m.BatchDeleteEdges([]Edge{{U: 0, V: 1}, {U: 4, V: 5}}) }},
+		{"delete edge from same logical step", admit.ErrAbsentCut, func(m *BatchDynamicMSF) error {
+			return m.BatchDeleteEdges([]Edge{{U: 0, V: 1}, {U: 4, V: 5}})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := build()
 			before := snap(m)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("no panic")
-					}
-				}()
-				tc.op(m)
-			}()
-			if after := snap(m); after != before {
-				t.Fatalf("structure mutated before panic:\n before %s\n after  %s", before, after)
+			if err := tc.op(m); !errors.Is(err, tc.want) {
+				t.Fatalf("error %v, want errors.Is(%v)", err, tc.want)
 			}
-			// The structure stays fully usable after the recovered panic.
+			if after := snap(m); after != before {
+				t.Fatalf("structure mutated before the rejection:\n before %s\n after  %s", before, after)
+			}
+			// The structure stays fully usable after the rejected batch.
 			m.BatchAddEdges([]Edge{{4, 5, 1}})
 			if !m.HasEdge(4, 5) {
-				t.Fatalf("structure unusable after recovered panic")
+				t.Fatalf("structure unusable after rejected batch")
 			}
 		})
 	}

@@ -1,120 +1,64 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
+
+	"repro/internal/admit"
 )
 
-// Typed errors of the admission / validation API. Wrapped errors carry the
-// offending edge; match with errors.Is. The first four report exactly what
-// the engines' pre-mutation panic contract checks, so a caller holding a
-// batch can swap a panic-on-violation BatchLink for ValidateLinks + typed
-// errors without changing what is considered invalid.
+// Typed errors of the admission / validation API: the values of
+// internal/admit, the shared pre-mutation check (documented there),
+// re-exported so the serve layer and its callers agree on identity.
+// Wrapped errors carry the offending edge; match with errors.Is.
+// ErrSelfLoop, ErrDuplicateEdge, ErrAbsentCut and ErrVertexRange are
+// exactly what the engines' pre-mutation check reports, so a caller
+// holding a batch can swap a panic-on-violation BatchLink for
+// ValidateLinks + typed errors without changing what is considered
+// invalid.
 var (
-	// ErrSelfLoop reports a link or cut whose endpoints coincide.
-	ErrSelfLoop = errors.New("ufotree: self loop")
-	// ErrDuplicateEdge reports a link of an edge that is already present,
-	// or repeated inside one batch in either orientation.
-	ErrDuplicateEdge = errors.New("ufotree: duplicate edge")
-	// ErrAbsentCut reports a cut of an edge that is not present (or was
-	// already cut earlier in the same batch).
-	ErrAbsentCut = errors.New("ufotree: cutting absent edge")
-	// ErrWouldCycle reports a link whose endpoints are already connected —
-	// the one violation the engines do NOT pre-validate (a cycle-closing
-	// batch corrupts a BatchForest rather than panicking), which is why a
-	// server must check it up front.
-	ErrWouldCycle = errors.New("ufotree: link would close a cycle")
-	// ErrVertexRange reports an endpoint outside [0, n).
-	ErrVertexRange = errors.New("ufotree: vertex out of range")
-	// ErrUnsupported reports an operation the underlying structure cannot
-	// answer (e.g. path queries on an Euler-tour tree).
-	ErrUnsupported = errors.New("ufotree: unsupported operation")
-	// ErrClosed reports a submission to a Batcher after Close.
-	ErrClosed = errors.New("ufotree: batcher closed")
-	// ErrEngine reports an engine panic recovered by the flusher — the
-	// safety net admission exists to make unreachable.
-	ErrEngine = errors.New("ufotree: engine failure")
+	ErrSelfLoop      = admit.ErrSelfLoop
+	ErrDuplicateEdge = admit.ErrDuplicateEdge
+	ErrAbsentCut     = admit.ErrAbsentCut
+	ErrWouldCycle    = admit.ErrWouldCycle
+	ErrVertexRange   = admit.ErrVertexRange
+	ErrUnsupported   = admit.ErrUnsupported
+	ErrClosed        = admit.ErrClosed
+	ErrEngine        = admit.ErrEngine
 )
-
-// checkVertices rejects endpoints outside [0, n) before they can reach an
-// engine (whose own range handling is a panic).
-func checkVertices(n int, us ...int) error {
-	for _, u := range us {
-		if u < 0 || u >= n {
-			return fmt.Errorf("%w: vertex %d, n = %d", ErrVertexRange, u, n)
-		}
-	}
-	return nil
-}
-
-// ekey normalizes an edge to an orientation-free map key. Vertex indices
-// are bounded by the engines' int32 vertex space, so the packing is exact.
-func ekey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
 
 // ValidateLinks reports, as a typed error, the first reason BatchLink(links)
-// would violate the pre-mutation contract against s — self loop, edge
-// repeated in the batch in either orientation, edge already present — or
-// would close a cycle (ErrWouldCycle, the violation BatchLink does not
-// check). A nil return means the batch is safe to hand to a BatchForest.
-// If s implements ComponentIDer the cycle check runs on component ids;
-// otherwise components are interned with Connected probes.
+// would violate the pre-mutation contract against s — the shared check's
+// endpoint out of range, self loop, edge repeated in the batch in either
+// orientation, edge already present — or would close a cycle
+// (ErrWouldCycle, the violation BatchLink does not check). A nil return
+// means the batch is safe to hand to a BatchForest. If s implements
+// ComponentIDer the cycle check runs on component ids; otherwise
+// components are interned with Connected probes.
 func ValidateLinks(s State, links []Edge) error {
 	ad := newAdmission(s, compIDOf(s))
 	n := s.N()
 	for _, e := range links {
-		if err := checkVertices(n, e.U, e.V); err != nil {
+		if err := ad.chk.Edge(admit.Link, n, e.U, e.V, s.HasEdge); err != nil {
 			return err
 		}
-		if e.U == e.V {
-			return fmt.Errorf("%w: edge (%d,%d)", ErrSelfLoop, e.U, e.V)
+		// Nothing blocks a component here, so checkLink admits or rejects.
+		if _, err := ad.checkLink(e.U, e.V); err != nil {
+			return err
 		}
-		key := ekey(e.U, e.V)
-		if _, hit := ad.touched[key]; hit {
-			return fmt.Errorf("%w: edge (%d,%d) repeated in batch", ErrDuplicateEdge, e.U, e.V)
-		}
-		if s.HasEdge(e.U, e.V) {
-			return fmt.Errorf("%w: edge (%d,%d)", ErrDuplicateEdge, e.U, e.V)
-		}
-		ru, rv := ad.find(ad.comp(e.U)), ad.find(ad.comp(e.V))
-		if ru == rv {
-			return fmt.Errorf("%w: edge (%d,%d)", ErrWouldCycle, e.U, e.V)
-		}
-		ad.union(ru, rv)
-		ad.touched[key] = struct{}{}
+		ad.chk.Mark(e.U, e.V)
 	}
 	return nil
 }
 
 // ValidateCuts reports, as a typed error, the first reason BatchCut(cuts)
-// would violate the pre-mutation contract against s: a self loop (no such
-// edge can exist), an edge repeated in the batch in either orientation
-// (absent by the time the repeat applies, hence ErrAbsentCut), or an edge
-// not present.
+// would violate the pre-mutation contract against s: the shared check's
+// endpoint out of range, self loop (no such edge can exist), edge
+// repeated in the batch in either orientation (absent by the time the
+// repeat applies, hence ErrAbsentCut), or edge not present.
 func ValidateCuts(s State, cuts []Edge) error {
-	n := s.N()
-	seen := make(map[uint64]struct{}, len(cuts))
-	for _, e := range cuts {
-		if err := checkVertices(n, e.U, e.V); err != nil {
-			return err
-		}
-		if e.U == e.V {
-			return fmt.Errorf("%w: edge (%d,%d)", ErrSelfLoop, e.U, e.V)
-		}
-		key := ekey(e.U, e.V)
-		if _, hit := seen[key]; hit {
-			return fmt.Errorf("%w: edge (%d,%d) repeated in batch", ErrAbsentCut, e.U, e.V)
-		}
-		if !s.HasEdge(e.U, e.V) {
-			return fmt.Errorf("%w: edge (%d,%d)", ErrAbsentCut, e.U, e.V)
-		}
-		seen[key] = struct{}{}
-	}
-	return nil
+	var chk admit.Check
+	at := func(i int) (int, int) { return cuts[i].U, cuts[i].V }
+	return chk.Batch(admit.Cut, s.N(), len(cuts), at, s.HasEdge)
 }
 
 func compIDOf(s State) func(int) uint64 {
@@ -155,8 +99,9 @@ type admission struct {
 	s      State
 	compID func(int) uint64 // nil: intern via Connected probes
 
-	touched map[uint64]struct{} // edge keys admitted this round
-	defKeys map[uint64]struct{} // edge keys deferred this round
+	// chk is the shared pre-mutation check; its seen-set holds the edges
+	// admitted or deferred this round, so a repeat of one defers.
+	chk admit.Check
 
 	node    map[uint64]int // live component id -> dsu index (fast path)
 	reps    []int          // representative vertex per dsu index (probe path)
@@ -165,13 +110,7 @@ type admission struct {
 }
 
 func newAdmission(s State, compID func(int) uint64) *admission {
-	return &admission{
-		s:       s,
-		compID:  compID,
-		touched: make(map[uint64]struct{}),
-		defKeys: make(map[uint64]struct{}),
-		node:    make(map[uint64]int),
-	}
+	return &admission{s: s, compID: compID, node: make(map[uint64]int)}
 }
 
 // comp interns the live component of u as a dsu index. With a component-id
@@ -225,42 +164,44 @@ func (ad *admission) union(a, b int) int {
 func (ad *admission) block(x int) { ad.blocked[ad.find(x)] = true }
 
 // check classifies one mutation; on vReject the error is the typed reason.
+// The shared check rejects what is invalid against the live structure, and
+// its repeat verdict — the edge was admitted or deferred earlier this
+// round — defers instead: the earlier operation has not committed yet.
 func (ad *admission) check(kind opKind, u, v int) (verdict, error) {
-	var vd verdict
-	var err error
-	if kind == opLink {
-		vd, err = ad.checkLink(u, v)
-	} else {
-		vd, err = ad.checkCut(u, v)
+	op := admit.Link
+	if kind == opCut {
+		op = admit.Cut
 	}
+	vd := vDefer
+	err := ad.chk.Edge(op, ad.s.N(), u, v, ad.s.HasEdge)
+	switch {
+	case admit.Repeated(err):
+	case err != nil:
+		return vReject, err
+	case kind == opCut:
+		// A valid cut admits, and blocks its component so no later link
+		// of this round reasons about connectivity the cut is about to
+		// change.
+		ad.block(ad.comp(u))
+		vd = vAdmit
+	default:
+		if vd, err = ad.checkLink(u, v); vd == vReject {
+			return vd, err
+		}
+	}
+	ad.chk.Mark(u, v)
 	if vd == vDefer {
-		key := ekey(u, v)
-		ad.defKeys[key] = struct{}{}
 		// Mark both components: later links must not decide against a
 		// state this deferred operation may still change.
 		ad.block(ad.comp(u))
 		ad.block(ad.comp(v))
 	}
-	return vd, err
+	return vd, nil
 }
 
+// checkLink decides a link that passed the shared check: it defers when
+// either component is blocked and rejects one that would close a cycle.
 func (ad *admission) checkLink(u, v int) (verdict, error) {
-	if err := checkVertices(ad.s.N(), u, v); err != nil {
-		return vReject, err
-	}
-	if u == v {
-		return vReject, fmt.Errorf("%w: edge (%d,%d)", ErrSelfLoop, u, v)
-	}
-	key := ekey(u, v)
-	if _, hit := ad.touched[key]; hit {
-		return vDefer, nil
-	}
-	if _, hit := ad.defKeys[key]; hit {
-		return vDefer, nil
-	}
-	if ad.s.HasEdge(u, v) {
-		return vReject, fmt.Errorf("%w: edge (%d,%d)", ErrDuplicateEdge, u, v)
-	}
 	cu, cv := ad.comp(u), ad.comp(v)
 	ru, rv := ad.find(cu), ad.find(cv)
 	if ad.blocked[ru] || ad.blocked[rv] {
@@ -270,30 +211,5 @@ func (ad *admission) checkLink(u, v int) (verdict, error) {
 		return vReject, fmt.Errorf("%w: edge (%d,%d)", ErrWouldCycle, u, v)
 	}
 	ad.union(ru, rv)
-	ad.touched[key] = struct{}{}
-	return vAdmit, nil
-}
-
-func (ad *admission) checkCut(u, v int) (verdict, error) {
-	if err := checkVertices(ad.s.N(), u, v); err != nil {
-		return vReject, err
-	}
-	if u == v {
-		return vReject, fmt.Errorf("%w: edge (%d,%d)", ErrSelfLoop, u, v)
-	}
-	key := ekey(u, v)
-	if _, hit := ad.touched[key]; hit {
-		return vDefer, nil
-	}
-	if _, hit := ad.defKeys[key]; hit {
-		return vDefer, nil
-	}
-	if !ad.s.HasEdge(u, v) {
-		return vReject, fmt.Errorf("%w: edge (%d,%d)", ErrAbsentCut, u, v)
-	}
-	// Valid: admit, and block the component so no later link of this round
-	// reasons about connectivity the cut is about to change.
-	ad.block(ad.comp(u))
-	ad.touched[key] = struct{}{}
 	return vAdmit, nil
 }

@@ -111,12 +111,3 @@ func TestAdmissionRoundClassification(t *testing.T) {
 	expect("absent cut", opCut, 8, 9, vReject, ErrAbsentCut)
 	expect("dup against live", opLink, 0, 1, vReject, ErrDuplicateEdge)
 }
-
-func TestEdgeKeyOrientation(t *testing.T) {
-	if ekey(3, 7) != ekey(7, 3) {
-		t.Fatal("ekey must be orientation-free")
-	}
-	if ekey(3, 7) == ekey(3, 8) {
-		t.Fatal("ekey must separate distinct edges")
-	}
-}

@@ -555,11 +555,11 @@ func (b *Batcher) answerQueries(queries []*request) {
 	var connReqs, sumReqs, maxReqs []*request
 	n := b.eng.N()
 	for _, r := range queries {
-		if err := checkVertices(n, r.u, r.v); err != nil {
+		if r.u < 0 || r.u >= n || r.v < 0 || r.v >= n {
 			b.mu.Lock()
 			b.met.rejected++
 			b.mu.Unlock()
-			b.respond(r, Result{Err: err})
+			b.respond(r, Result{Err: fmt.Errorf("%w (%d,%d) in query, n = %d", ErrVertexRange, r.u, r.v, n)})
 			continue
 		}
 		switch r.kind {

@@ -3,6 +3,7 @@ package ternary
 import (
 	"fmt"
 
+	"repro/internal/admit"
 	"repro/internal/ufo"
 )
 
@@ -31,13 +32,7 @@ type Forest struct {
 	linkIdx  map[uint64]int
 	weights  map[uint64]int64
 	maxSlots int
-}
-
-func edgeKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
+	chk      admit.Check // reusable pre-mutation batch check
 }
 
 // NewTopology returns a ternarized topology-tree forest over n vertices.
@@ -111,7 +106,7 @@ func (f *Forest) underDegree(s int32) int {
 
 // emitLink queues an underlying link (fake or real).
 func (f *Forest) emitLink(a, b int32, w int64) {
-	key := edgeKey(a, b)
+	key := admit.Key(int(a), int(b))
 	f.linkIdx[key] = len(f.links)
 	f.links = append(f.links, ufo.Edge{U: int(a), V: int(b), W: w})
 }
@@ -120,7 +115,7 @@ func (f *Forest) emitLink(a, b int32, w int64) {
 // underlying edge instead when one exists (this happens when a batch both
 // creates and removes a bridge or relocated edge).
 func (f *Forest) emitCut(a, b int32) {
-	key := edgeKey(a, b)
+	key := admit.Key(int(a), int(b))
 	if i, ok := f.linkIdx[key]; ok {
 		f.links[i].U = -1 // tombstone
 		delete(f.linkIdx, key)
@@ -222,13 +217,16 @@ func (f *Forest) Cut(u, v int) {
 }
 
 // BatchLink inserts a batch of edges (the union with the current forest
-// must remain a forest; no duplicates).
+// must remain a forest). A batch that breaks a rule of the shared
+// pre-mutation check (internal/admit) panics with its error before any
+// mutation.
 func (f *Forest) BatchLink(edges []ufo.Edge) {
+	at := func(i int) (int, int) { return edges[i].U, edges[i].V }
+	if err := f.chk.Batch(admit.Link, f.n, len(edges), at, f.HasEdge); err != nil {
+		panic(err)
+	}
 	for _, ed := range edges {
-		key := edgeKey(int32(ed.U), int32(ed.V))
-		if _, dup := f.edgeSlots[key]; dup {
-			panic(fmt.Sprintf("ternary: duplicate edge (%d,%d)", ed.U, ed.V))
-		}
+		key := admit.Key(ed.U, ed.V)
 		f.weights[key] = ed.W
 		su := f.hostSlot(int32(ed.U))
 		f.slots[su].hosted = append(f.slots[su].hosted, key)
@@ -244,14 +242,17 @@ func (f *Forest) BatchLink(edges []ufo.Edge) {
 	f.flush()
 }
 
-// BatchCut removes a batch of existing edges.
+// BatchCut removes a batch of existing edges. Like BatchLink, a batch that
+// breaks a rule of the shared check panics with its error before any
+// mutation.
 func (f *Forest) BatchCut(edges [][2]int) {
+	at := func(i int) (int, int) { return edges[i][0], edges[i][1] }
+	if err := f.chk.Batch(admit.Cut, f.n, len(edges), at, f.HasEdge); err != nil {
+		panic(err)
+	}
 	for _, ed := range edges {
-		key := edgeKey(int32(ed[0]), int32(ed[1]))
-		pair, ok := f.edgeSlots[key]
-		if !ok {
-			panic(fmt.Sprintf("ternary: cutting absent edge (%d,%d)", ed[0], ed[1]))
-		}
+		key := admit.Key(ed[0], ed[1])
+		pair := f.edgeSlots[key]
 		delete(f.edgeSlots, key)
 		delete(f.weights, key)
 		f.emitCut(pair[0], pair[1])
@@ -272,7 +273,7 @@ func (f *Forest) BatchCut(edges [][2]int) {
 
 // HasEdge reports whether edge (u,v) exists.
 func (f *Forest) HasEdge(u, v int) bool {
-	_, ok := f.edgeSlots[edgeKey(int32(u), int32(v))]
+	_, ok := f.edgeSlots[admit.Key(u, v)]
 	return ok
 }
 
@@ -319,7 +320,7 @@ func (f *Forest) SubtreeSum(v, p int) int64 {
 // subtreeSlots maps a real (v, parent p) subtree query to the hosting
 // slots of the (v,p) edge, panicking on non-adjacent pairs.
 func (f *Forest) subtreeSlots(v, p int) (sv, sp int32) {
-	key := edgeKey(int32(v), int32(p))
+	key := admit.Key(v, p)
 	pair, ok := f.edgeSlots[key]
 	if !ok {
 		panic(fmt.Sprintf("ternary: subtree query with non-adjacent (%d,%d)", v, p))

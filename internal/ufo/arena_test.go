@@ -3,6 +3,7 @@ package ufo
 import (
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/gen"
 	"repro/internal/refforest"
 	"repro/internal/rng"
@@ -10,9 +11,9 @@ import (
 
 // mkRef builds a synthetic EdgeRef whose key encodes (u,v). Handles don't
 // matter for edgeSet unit tests; keys just have to be nonzero and distinct,
-// which edgeKey guarantees for distinct vertex pairs.
+// which admit.Key guarantees for distinct vertex pairs.
 func mkRef(u, v int32) EdgeRef {
-	return EdgeRef{key: edgeKey(u, v), w: int64(u)*100 + int64(v), myV: u, otherV: v}
+	return EdgeRef{key: admit.Key(int(u), int(v)), w: int64(u)*100 + int64(v), myV: u, otherV: v}
 }
 
 // TestEdgeSetOverflowCompaction is the regression test for the edgeSet
@@ -37,7 +38,7 @@ func TestEdgeSetOverflowCompaction(t *testing.T) {
 	// Remove eight edges: degree drops to 4, so every survivor fits inline
 	// and the overflow table must be gone.
 	for v := int32(1); v <= 8; v++ {
-		if !s.remove(edgeKey(0, v)) {
+		if !s.remove(admit.Key(0, int(v))) {
 			t.Fatalf("remove(0,%d) missed", v)
 		}
 	}
@@ -48,7 +49,7 @@ func TestEdgeSetOverflowCompaction(t *testing.T) {
 		t.Fatalf("overflow table not released after shrinking to degree 4 (ov.n=%d)", s.ov.n)
 	}
 	for v := int32(9); v <= 12; v++ {
-		e, ok := s.get(edgeKey(0, v))
+		e, ok := s.get(admit.Key(0, int(v)))
 		if !ok || e.otherV != v {
 			t.Fatalf("survivor (0,%d) lost during compaction: got %+v ok=%v", v, e, ok)
 		}
@@ -57,12 +58,12 @@ func TestEdgeSetOverflowCompaction(t *testing.T) {
 	// A compacted set is back on the inline path: churning while staying
 	// at degree ≤ 4 must not allocate at all.
 	allocs := testing.AllocsPerRun(100, func() {
-		if !s.remove(edgeKey(0, 9)) || !s.remove(edgeKey(0, 10)) {
+		if !s.remove(admit.Key(0, 9)) || !s.remove(admit.Key(0, 10)) {
 			t.Fatal("churn remove missed")
 		}
 		s.insert(mkRef(0, 50))
 		s.insert(mkRef(0, 51))
-		if !s.remove(edgeKey(0, 50)) || !s.remove(edgeKey(0, 51)) {
+		if !s.remove(admit.Key(0, 50)) || !s.remove(admit.Key(0, 51)) {
 			t.Fatal("churn remove missed")
 		}
 		s.insert(mkRef(0, 9))
@@ -82,7 +83,7 @@ func TestEdgeSetOverflowPartialDrain(t *testing.T) {
 		s.insert(mkRef(0, v))
 	}
 	for v := int32(1); v <= 14; v++ {
-		if !s.remove(edgeKey(0, v)) {
+		if !s.remove(admit.Key(0, int(v))) {
 			t.Fatalf("remove(0,%d) missed", v)
 		}
 	}

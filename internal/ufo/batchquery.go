@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/admit"
 	"repro/internal/parallel"
 )
 
@@ -292,7 +293,7 @@ func (f *Forest) BatchPathHops(pairs [][2]int) ([]int, []bool) {
 func (f *Forest) BatchSubtreeSum(pairs [][2]int) []int64 {
 	if f.parQueries(len(pairs)) {
 		for _, pr := range pairs {
-			if !f.a.at(f.leaf(pr[0])).adj.has(edgeKey(int32(pr[0]), int32(pr[1]))) {
+			if !f.a.at(f.leaf(pr[0])).adj.has(admit.Key(pr[0], pr[1])) {
 				panic(fmt.Sprintf("ufo: subtree query with non-adjacent (%d,%d)", pr[0], pr[1]))
 			}
 		}

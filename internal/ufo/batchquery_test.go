@@ -1,6 +1,7 @@
 package ufo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -262,7 +263,7 @@ func mustPanic(t *testing.T, want string, fn func()) {
 		if r == nil {
 			t.Fatalf("expected panic containing %q, got none", want)
 		}
-		msg, _ := r.(string)
+		msg := fmt.Sprint(r)
 		if !strings.Contains(msg, want) {
 			t.Fatalf("panic %q does not contain %q", msg, want)
 		}

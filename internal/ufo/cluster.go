@@ -45,13 +45,6 @@ type EdgeRef struct {
 	otherV int32
 }
 
-func edgeKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
 // edgeSet is a cluster's adjacency: a small inline array for the common
 // degree ≤ 4 case plus an open-addressing overflow table for high-degree
 // clusters. This is the paper's memory optimization (§D.1): low-degree
@@ -392,7 +385,7 @@ type Cluster struct {
 	subSum  int64 // sum of contained vertex values (group-invertible)
 	pathSum int64 // sum of edge weights on the cluster path (binary only)
 	pathMax int64 // max edge weight on the cluster path (negInf identity)
-	// pathMaxKey is the normalized edge key (edgeKey) of the cluster-path
+	// pathMaxKey is the normalized edge key (admit.Key) of the cluster-path
 	// edge realizing pathMax, with equal weights broken toward the larger
 	// key so the (pathMax, pathMaxKey) pair is a total order and argmax
 	// answers are unique at every worker count. 0 (no edge) when pathMax

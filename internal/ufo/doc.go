@@ -41,25 +41,28 @@
 // (pipeline.go): three seed phases once per batch, five level phases per
 // contraction round, each with exactly one body that runs inline at
 // workers=1 and fans out above the fork grain, and each timed into
-// PhaseStats. A cluster emptied mid-batch is torn down immediately
-// (deleteEmpty) and cascades upward, so the arena never accumulates
-// unreachable rows the way a garbage-collected representation could
-// simply abandon them.
+// PhaseStats. A cluster emptied mid-batch is torn down as soon as no
+// worker can still be walking through it — at once on the inline path,
+// right after the phase when fanned (deleteEmpty) — and cascades upward,
+// so the arena never accumulates unreachable rows the way a
+// garbage-collected representation could simply abandon them.
 //
 // # Contracts
 //
 // Worker-count clamp rules (SetWorkers): k <= 0 defaults to
-// runtime.GOMAXPROCS(0), exactly like SetParallel(true); k == 1 runs every
-// pipeline phase inline on the calling goroutine; counts above GOMAXPROCS
-// are allowed (oversubscription). Every structural phase of every
-// configuration — trackMax forests included — runs at the configured
-// count.
+// runtime.GOMAXPROCS(0); k == 1 runs every pipeline phase inline on the
+// calling goroutine; counts above GOMAXPROCS are allowed
+// (oversubscription). Every structural phase of every configuration —
+// trackMax forests included — runs at the configured count.
 //
-// Pre-mutation panic contract (BatchLink/BatchCut): adversarial batches —
-// self loops, an edge repeated inside one batch in either orientation,
-// linking a present edge, cutting an absent edge — panic deterministically
-// before any structural change, so a recovered panic leaves the forest
-// exactly as it was, at every worker count.
+// Pre-mutation panic contract (BatchLink/BatchCut): every batch first runs
+// the shared check of internal/admit. An adversarial batch — an endpoint
+// out of range, a self loop, an edge repeated inside one batch in either
+// orientation, linking a present edge, cutting an absent edge — panics
+// with the check's error (errors.Is the matching admit.Err* value) before
+// any structural change, so a recovered panic leaves the forest exactly as
+// it was, at every worker count. Links that would close a cycle are not
+// checked.
 //
 // Queries are read-only between updates: batch queries may run
 // concurrently with each other, never with updates.

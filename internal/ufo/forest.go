@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/admit"
 	"repro/internal/parallel"
 )
 
@@ -44,10 +45,10 @@ const (
 // allocated above n and recycled through the free list as batches create
 // and delete them.
 //
-// The zero configuration runs updates serially; SetParallel(true) enables
-// goroutine-parallel batch updates with GOMAXPROCS workers, and SetWorkers
-// picks an explicit worker count. All query methods are read-only and may
-// run concurrently with each other (but not with updates).
+// The zero configuration runs updates serially; SetWorkers picks the
+// worker count of goroutine-parallel batch updates (0 for GOMAXPROCS). All
+// query methods are read-only and may run concurrently with each other
+// (but not with updates).
 type Forest struct {
 	n        int
 	a        arena
@@ -57,7 +58,7 @@ type Forest struct {
 	mode     Mode
 	seed     uint64
 	uidSrc   atomic.Uint64
-	valSeen  map[uint64]struct{} // reusable batch-validation scratch
+	chk      admit.Check // reusable pre-mutation batch check
 	eng      engine
 
 	// Batch-query engine state (batchquery.go / sharedquery.go). The
@@ -119,21 +120,11 @@ func (f *Forest) N() int { return f.n }
 // EdgeCount returns the number of live edges.
 func (f *Forest) EdgeCount() int { return f.nEdges }
 
-// SetParallel toggles goroutine-parallel batch updates: on means
-// GOMAXPROCS workers, off means fully sequential.
-func (f *Forest) SetParallel(p bool) {
-	if p {
-		f.SetWorkers(parallel.Procs())
-	} else {
-		f.SetWorkers(1)
-	}
-}
-
 // SetWorkers fixes the number of workers used by batch updates and batch
-// queries. Clamp rules: k <= 0 defaults to runtime.GOMAXPROCS(0), exactly
-// like SetParallel(true); k == 1 runs every pipeline phase inline on the
-// calling goroutine (no locks, no goroutines); k >= 2 fans phases past the
-// fork grain out over k goroutines. Counts above GOMAXPROCS are allowed
+// queries. Clamp rules: k <= 0 defaults to runtime.GOMAXPROCS(0); k == 1
+// runs every pipeline phase inline on the calling goroutine (no locks, no
+// goroutines); k >= 2 fans phases past the fork grain out over k
+// goroutines. Counts above GOMAXPROCS are allowed
 // (oversubscription), which the tests use to exercise the fanned phases'
 // interleavings on machines with few cores.
 func (f *Forest) SetWorkers(k int) {
@@ -144,9 +135,9 @@ func (f *Forest) SetWorkers(k int) {
 }
 
 // Workers reports the configured batch worker count (the value set by
-// SetWorkers/SetParallel, after clamping). Every pipeline phase of every
-// configuration — trackMax forests included — runs at this count; per-batch
-// phase attribution is available from PhaseStats.
+// SetWorkers, after clamping). Every pipeline phase of every configuration
+// — trackMax forests included — runs at this count; per-batch phase
+// attribution is available from PhaseStats.
 func (f *Forest) Workers() int { return f.workers }
 
 // PhaseStats returns the per-phase telemetry of the most recent batch
@@ -162,7 +153,7 @@ func (f *Forest) PhaseStats() PhaseStats {
 
 // HasEdge reports whether edge (u,v) is present.
 func (f *Forest) HasEdge(u, v int) bool {
-	return f.a.at(f.leaf(u)).adj.has(edgeKey(int32(u), int32(v)))
+	return f.a.at(f.leaf(u)).adj.has(admit.Key(u, v))
 }
 
 // Connected reports whether u and v are in the same tree. Cost is
@@ -212,78 +203,38 @@ func (f *Forest) Cut(u, v int) {
 // BatchLink inserts a batch of edges. The batch joined with the current
 // forest must remain a forest, and no edge may repeat.
 //
-// Adversarial inputs panic deterministically before any mutation, in both
-// the sequential and the parallel engine: self loops, an edge repeated
-// inside the batch (in either orientation — (u,v) and (v,u) name the same
-// edge), and edges already present in the forest. Because validation
-// precedes the first structural change, a recovered panic leaves the
-// forest exactly as it was. (Batches that would close a cycle across
-// distinct edges are not pre-validated; they violate the forest contract
-// like in the C++ baselines.)
+// Adversarial inputs panic before any mutation, at every worker count,
+// with an error value that errors.Is the matching admit error: an
+// endpoint out of range, a self loop, an edge repeated inside the batch
+// (in either orientation — (u,v) and (v,u) name the same edge), and an
+// edge already present in the forest. Because the check precedes the
+// first structural change, a recovered panic leaves the forest exactly as
+// it was. (Batches that would close a cycle across distinct edges are not
+// checked; they violate the forest contract like in the C++ baselines.)
 func (f *Forest) BatchLink(edges []Edge) {
 	if len(edges) == 0 {
 		return
 	}
-	f.validateLinkBatch(edges)
+	at := func(i int) (int, int) { return edges[i].U, edges[i].V }
+	if err := f.chk.Batch(admit.Link, f.n, len(edges), at, f.HasEdge); err != nil {
+		panic(err)
+	}
 	f.eng.run(edges, nil)
 }
 
 // BatchCut removes a batch of edges, all of which must exist and be
-// distinct. Like BatchLink, adversarial inputs — an edge repeated inside
-// the batch in either orientation, or an absent edge — panic
-// deterministically before any mutation in both engines.
+// distinct. Like BatchLink, adversarial inputs — an endpoint out of range,
+// a self loop, an edge repeated inside the batch in either orientation,
+// or an absent edge — panic with the check's error before any mutation.
 func (f *Forest) BatchCut(edges [][2]int) {
 	if len(edges) == 0 {
 		return
 	}
-	f.validateCutBatch(edges)
+	at := func(i int) (int, int) { return edges[i][0], edges[i][1] }
+	if err := f.chk.Batch(admit.Cut, f.n, len(edges), at, f.HasEdge); err != nil {
+		panic(err)
+	}
 	f.eng.run(nil, edges)
-}
-
-// batchSeen returns the deduplication scratch map, cleared. It lives on
-// the Forest so steady-state batches do not allocate a map per call.
-func (f *Forest) batchSeen(n int) map[uint64]struct{} {
-	if f.valSeen == nil {
-		f.valSeen = make(map[uint64]struct{}, n)
-	} else {
-		clear(f.valSeen)
-	}
-	return f.valSeen
-}
-
-// validateLinkBatch enforces the BatchLink preconditions that are checkable
-// before mutation. The orientation-normalized edge key makes (u,v) vs
-// (v,u) duplicates indistinguishable from exact repeats, so both panic.
-func (f *Forest) validateLinkBatch(edges []Edge) {
-	seen := f.batchSeen(len(edges))
-	for _, e := range edges {
-		if e.U == e.V {
-			panic(fmt.Sprintf("ufo: self loop %d in batch link", e.U))
-		}
-		key := edgeKey(int32(e.U), int32(e.V))
-		if _, dup := seen[key]; dup {
-			panic(fmt.Sprintf("ufo: edge (%d,%d) repeated in batch link", e.U, e.V))
-		}
-		seen[key] = struct{}{}
-		if f.a.at(f.leaf(e.U)).adj.has(key) {
-			panic(fmt.Sprintf("ufo: duplicate edge (%d,%d)", e.U, e.V))
-		}
-	}
-}
-
-// validateCutBatch enforces the BatchCut preconditions before mutation.
-func (f *Forest) validateCutBatch(cuts [][2]int) {
-	seen := f.batchSeen(len(cuts))
-	for _, c := range cuts {
-		key := edgeKey(int32(c[0]), int32(c[1]))
-		if _, dup := seen[key]; dup {
-			panic(fmt.Sprintf("ufo: edge (%d,%d) repeated in batch cut", c[0], c[1]))
-		}
-		seen[key] = struct{}{}
-		if !f.HasEdge(c[0], c[1]) {
-			panic(fmt.Sprintf("ufo: cutting absent edge (%d,%d)", c[0], c[1]))
-		}
-	}
 }
 
 // SetVertexValue assigns the value aggregated by subtree queries,

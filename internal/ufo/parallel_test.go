@@ -298,9 +298,8 @@ func TestParallelSingleEditsUseSequentialPath(t *testing.T) {
 }
 
 // TestSetWorkersClamps pins the worker-knob clamp rules: k <= 0 defaults
-// to GOMAXPROCS (the SetParallel(true) configuration, not the silent
-// sequential clamp it used to be), k == 1 is the inline engine, and
-// oversubscribed counts pass through untouched.
+// to GOMAXPROCS (not the silent sequential clamp it used to be), k == 1 is
+// the inline engine, and oversubscribed counts pass through untouched.
 func TestSetWorkersClamps(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	f := New(4)
@@ -319,14 +318,6 @@ func TestSetWorkersClamps(t *testing.T) {
 	f.SetWorkers(64) // oversubscription is allowed
 	if f.Workers() != 64 {
 		t.Fatalf("SetWorkers(64) → %d, want 64", f.Workers())
-	}
-	f.SetParallel(true)
-	if f.Workers() != procs {
-		t.Fatalf("SetParallel(true) → %d, want GOMAXPROCS=%d", f.Workers(), procs)
-	}
-	f.SetParallel(false)
-	if f.Workers() != 1 {
-		t.Fatal("SetParallel(false) must restore sequential updates")
 	}
 	// The clamp is usable: a forest configured through the default knob
 	// still applies batches correctly.

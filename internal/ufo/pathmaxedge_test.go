@@ -3,6 +3,7 @@ package ufo
 import (
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/gen"
 	"repro/internal/rng"
 )
@@ -16,7 +17,7 @@ func naiveMaxEdge(path []int, w map[uint64]int64) (int64, int, int, bool) {
 	}
 	mx, mk := int64(negInf), uint64(0)
 	for i := 1; i < len(path); i++ {
-		k := edgeKey(int32(path[i-1]), int32(path[i]))
+		k := admit.Key(path[i-1], path[i])
 		mx, mk = wkMax(mx, mk, w[k], k)
 	}
 	x, y := decodeEdgeKey(mk)
@@ -78,7 +79,7 @@ func TestPathMaxEdgeDifferential(t *testing.T) {
 				adj := make([][]int, tr.N)
 				for i, e := range tr.Edges {
 					edges[i] = Edge{U: e.U, V: e.V, W: e.W}
-					weights[edgeKey(int32(e.U), int32(e.V))] = e.W
+					weights[admit.Key(e.U, e.V)] = e.W
 					adj[e.U] = append(adj[e.U], e.V)
 					adj[e.V] = append(adj[e.V], e.U)
 				}
@@ -93,7 +94,7 @@ func TestPathMaxEdgeDifferential(t *testing.T) {
 				for _, e := range tr.Edges {
 					if r.Intn(3) == 0 {
 						cuts = append(cuts, [2]int{e.U, e.V})
-						delete(weights, edgeKey(int32(e.U), int32(e.V)))
+						delete(weights, admit.Key(e.U, e.V))
 					}
 				}
 				if len(cuts) > 0 {

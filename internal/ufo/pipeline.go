@@ -246,10 +246,10 @@ type stripedMu struct {
 }
 
 // wscratch is one worker's phase-local collection state. Buffers are
-// drained (and reset) at every phase barrier; the padding keeps workers'
-// append bookkeeping off each other's cache lines. The inline path uses
-// worker 0's scratch, so one collection protocol serves both
-// configurations.
+// drained (and reset) at every phase barrier; the struct is exactly 256
+// bytes (a cache-line multiple), which keeps workers' append bookkeeping
+// off each other's cache lines. The inline path uses worker 0's scratch,
+// so one collection protocol serves both configurations.
 type wscratch struct {
 	roots   []cref    // addRoot collector (phase-dependent level)
 	roots2  []cref    // secondary addRoot collector (second level / lo queue)
@@ -260,9 +260,9 @@ type wscratch struct {
 	dead    []cref    // execDelete collector: slots to recycle after the run
 	edel    []edelEnt // addEdel collector
 	snap    []EdgeRef // adjacency snapshot (execDelete)
+	emptied []cref    // fanned detach: parents emptied, torn down after the phase
 	cnt     int       // nEdges delta
 	matched int       // pair-matching merge count this round
-	_       [24]byte  // pads the struct to 256 bytes (a cache-line multiple)
 }
 
 // setup sizes the per-worker scratch for the configured worker count (the

@@ -1,6 +1,10 @@
 package ufo
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/admit"
+)
 
 // repEntry is one representative-path value: the aggregate of the edges on
 // the unique path from the query vertex to the boundary vertex v of the
@@ -273,7 +277,7 @@ func (f *Forest) SubtreeSize(v, p int) int {
 // hot-row fields only, so taking a row pointer is safe and convenient).
 func (f *Forest) subtreeAgg(v, p int, val func(*Cluster) int64) int64 {
 	a := &f.a
-	key := edgeKey(int32(v), int32(p))
+	key := admit.Key(v, p)
 	if !a.at(f.leaf(v)).adj.has(key) {
 		panic(fmt.Sprintf("ufo: subtree query with non-adjacent (%d,%d)", v, p))
 	}

@@ -1,6 +1,10 @@
 package ufo
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/admit"
+)
 
 // Non-invertible subtree aggregates (§4.2 of the paper, Theorem 4.4).
 //
@@ -85,7 +89,7 @@ func (f *Forest) SubtreeMax(v, p int) int64 {
 		panic("ufo: SubtreeMax requires EnableSubtreeMax before building")
 	}
 	a := &f.a
-	key := edgeKey(int32(v), int32(p))
+	key := admit.Key(v, p)
 	if !a.at(f.leaf(v)).adj.has(key) {
 		panic(fmt.Sprintf("ufo: subtree query with non-adjacent (%d,%d)", v, p))
 	}

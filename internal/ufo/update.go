@@ -3,6 +3,8 @@ package ufo
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/admit"
 )
 
 // edelEnt schedules the lazy deletion of one original edge's image at a
@@ -176,7 +178,7 @@ func (e *engine) bindPhases() {
 			c := cuts[j]
 			ru, rv := f.leaf(c[0]), f.leaf(c[1])
 			lu, lv := ar.at(ru), ar.at(rv)
-			key := edgeKey(int32(c[0]), int32(c[1]))
+			key := admit.Key(c[0], c[1])
 			e.lockC(lu)
 			ok := lu.adj.remove(key)
 			e.unlockC(lu)
@@ -204,7 +206,7 @@ func (e *engine) bindPhases() {
 			ed := links[j]
 			ru, rv := f.leaf(ed.U), f.leaf(ed.V)
 			lu, lv := ar.at(ru), ar.at(rv)
-			key := edgeKey(int32(ed.U), int32(ed.V))
+			key := admit.Key(ed.U, ed.V)
 			e.lockC(lu)
 			ok := lu.adj.insert(EdgeRef{to: rv, key: key, w: ed.W, myV: int32(ed.U), otherV: int32(ed.V)})
 			e.unlockC(lu)
@@ -511,6 +513,7 @@ func (e *engine) disconnect() {
 	}
 	e.drainScratch(0, 0, 0, 1)
 	e.forPhase(len(e.cand), e.bDetach)
+	e.teardownEmptied()
 	e.drainDirty()
 	e.cand = e.cand[:0]
 }
@@ -567,6 +570,7 @@ func (e *engine) condDelete(i int) {
 	e.forPhase(n, e.bClassify)
 	e.drainScratch(i, i+1, 0, i+2)
 	e.forPhase(n, e.bMutate)
+	e.teardownEmptied()
 	e.drainDirty()
 	e.del[i+1] = e.del[i+1][:0]
 }
@@ -679,6 +683,8 @@ func (e *engine) execDelete(c cref, s *wscratch) {
 // deferred: the child's item handle moves to the parent's rtOrphans
 // buffer (serialized by the same stripe) and the parent is claimed for
 // the post-phase repair pass (s == nil claims directly, serial stages).
+// A parent the detach empties is torn down at once on the inline path and
+// after the phase when fanned.
 func (e *engine) detach(c cref, s *wscratch) {
 	ar := &e.f.a
 	hc := ar.at(c)
@@ -732,8 +738,30 @@ func (e *engine) detach(c cref, s *wscratch) {
 	ar.setParent(hc, c, nilRef)
 	hc.childIdx = -1
 	e.markMaxDirty(p, s)
-	if emptied {
+	if !emptied {
+		return
+	}
+	if e.fanned {
+		// Another worker's ancestor walk may still pass through p, so p
+		// is torn down only after the phase (teardownEmptied).
+		s.emptied = append(s.emptied, p)
+	} else {
 		e.deleteEmpty(p, s)
+	}
+}
+
+// teardownEmptied deletes, on the calling goroutine, the parents that the
+// detaches of a fanned phase emptied. It runs once the phase's workers
+// have returned, so no ancestor walk can still read or update them; by
+// then their aggregates have drained to zero, and the teardown cascades
+// upward like the inline path's.
+func (e *engine) teardownEmptied() {
+	for w := range e.ws {
+		s := &e.ws[w]
+		for _, p := range s.emptied {
+			e.deleteEmpty(p, s)
+		}
+		s.emptied = s.emptied[:0]
 	}
 }
 
@@ -745,9 +773,10 @@ func (e *engine) detach(c cref, s *wscratch) {
 // definition — an empty cluster contains no vertices — and is torn down
 // symmetrically by execDelete; the matching stale images one level up
 // were already scheduled by the departing children, exactly as before.
-// The caller observed the 1→0 child transition under p's stripe, so only
-// one worker reaches this for a given p. Cascades upward when removing p
-// empties its own parent in turn.
+// The caller observed the 1→0 child transition under p's stripe, so p is
+// torn down once; a fanned phase queues it for teardownEmptied instead of
+// calling this from a worker. Cascades upward when removing p empties its
+// own parent in turn.
 func (e *engine) deleteEmpty(p cref, s *wscratch) {
 	if e.f.a.at(p).dead() {
 		return

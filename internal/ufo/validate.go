@@ -1,6 +1,10 @@
 package ufo
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/admit"
+)
 
 // Validate exhaustively checks the structural invariants of the UFO tree.
 // It runs in O(n · height) time and is intended for tests, where it is
@@ -236,7 +240,7 @@ func (f *Forest) validateCluster(c cref, contents map[cref]map[int32]bool) error
 			adjErr = fmt.Errorf("level %d: edge to level %d", hc.level, ht.level)
 			return false
 		}
-		if er.key != edgeKey(er.myV, er.otherV) {
+		if er.key != admit.Key(int(er.myV), int(er.otherV)) {
 			adjErr = fmt.Errorf("level %d: edge key does not match endpoints", hc.level)
 			return false
 		}

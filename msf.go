@@ -1,10 +1,6 @@
 package ufotree
 
-import (
-	"fmt"
-
-	"repro/internal/msf"
-)
+import "repro/internal/msf"
 
 // DynamicMSF is a batch-dynamic minimum spanning forest over an arbitrary
 // weighted undirected graph — the weighted sibling of DynamicGraph: where
@@ -18,11 +14,11 @@ import (
 // minimum-key one.
 //
 // Updates follow the Batcher admission idiom: AddEdges and DeleteEdges
-// reject an invalid batch with a typed error (ErrSelfLoop,
-// ErrDuplicateEdge, ErrAbsentCut, ErrVertexRange — match with errors.Is)
-// before any mutation, so an error return leaves the forest untouched. The
-// Must forms keep the internal layers' panic contract for callers whose
-// input is trusted by construction. Batches must not run concurrently with
+// pass on the MSF layer's pre-mutation check, which refuses an invalid
+// batch with a typed error (ErrSelfLoop, ErrDuplicateEdge, ErrAbsentCut,
+// ErrVertexRange — match with errors.Is) before any mutation, so an error
+// return leaves the forest untouched. The Must forms panic with that
+// error, for callers whose input is trusted by construction. Batches must not run concurrently with
 // each other or with queries; read-only queries may run concurrently with
 // each other between batches.
 type DynamicMSF interface {
@@ -43,11 +39,11 @@ type DynamicMSF interface {
 	// with a typed error naming the first offending edge, before any
 	// mutation.
 	DeleteEdges(edges []Edge) error
-	// MustAddEdges is AddEdges with the internal layers' panic contract:
-	// an invalid batch panics deterministically before any mutation.
+	// MustAddEdges is AddEdges with a panic contract: an invalid batch
+	// panics with AddEdges' error, before any mutation.
 	MustAddEdges(edges []Edge)
-	// MustDeleteEdges is DeleteEdges with the internal layers' panic
-	// contract.
+	// MustDeleteEdges is DeleteEdges with a panic contract: an invalid
+	// batch panics with DeleteEdges' error.
 	MustDeleteEdges(edges []Edge)
 	// TotalWeight returns the summed weight of the minimum spanning
 	// forest, in O(1).
@@ -151,79 +147,26 @@ func (a *msfAdapter) TreeEdges() []Edge {
 	return out
 }
 
-// AddEdges validates the batch against the admission rules and applies it;
-// a typed-error return means nothing was mutated.
-func (a *msfAdapter) AddEdges(edges []Edge) error {
-	if err := a.validateAdds(edges); err != nil {
-		return err
-	}
-	a.MustAddEdges(edges)
-	return nil
-}
+// AddEdges applies the batch; the MSF layer's pre-mutation check refuses
+// an invalid one with a typed error, and nothing is mutated then.
+func (a *msfAdapter) AddEdges(edges []Edge) error { return a.m.BatchAddEdges(convMSFEdges(edges)) }
 
-// DeleteEdges validates the batch against the admission rules and applies
-// it; a typed-error return means nothing was mutated.
+// DeleteEdges applies the batch; like AddEdges, an invalid batch is
+// refused with a typed error before any mutation.
 func (a *msfAdapter) DeleteEdges(edges []Edge) error {
-	if err := a.validateDeletes(edges); err != nil {
-		return err
-	}
-	a.MustDeleteEdges(edges)
-	return nil
+	return a.m.BatchDeleteEdges(convMSFEdges(edges))
 }
 
-func (a *msfAdapter) MustAddEdges(edges []Edge)    { a.m.BatchAddEdges(convMSFEdges(edges)) }
-func (a *msfAdapter) MustDeleteEdges(edges []Edge) { a.m.BatchDeleteEdges(convMSFEdges(edges)) }
-
-// validateAdds reports the first admission violation of an add batch as a
-// typed error: ErrSelfLoop, ErrVertexRange, or ErrDuplicateEdge (repeated
-// inside the batch in either orientation, or already present). The checks
-// mirror the MSF layer's panic validation, so a nil return guarantees the
-// underlying batch cannot panic.
-func (a *msfAdapter) validateAdds(edges []Edge) error {
-	n := a.m.N()
-	seen := make(map[[2]int]struct{}, len(edges))
-	for _, e := range edges {
-		if err := checkRange(e, n); err != nil {
-			return err
-		}
-		if e.U == e.V {
-			return fmt.Errorf("ufotree: add edge (%d,%d): %w", e.U, e.V, ErrSelfLoop)
-		}
-		k := normEdge(e)
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("ufotree: add edge (%d,%d): %w", e.U, e.V, ErrDuplicateEdge)
-		}
-		seen[k] = struct{}{}
-		if a.m.HasEdge(e.U, e.V) {
-			return fmt.Errorf("ufotree: add edge (%d,%d): %w", e.U, e.V, ErrDuplicateEdge)
-		}
+func (a *msfAdapter) MustAddEdges(edges []Edge) {
+	if err := a.AddEdges(edges); err != nil {
+		panic(err)
 	}
-	return nil
 }
 
-// validateDeletes reports the first admission violation of a delete batch
-// as a typed error: ErrSelfLoop, ErrVertexRange, or ErrAbsentCut (absent
-// from the graph, or repeated inside the batch in either orientation).
-func (a *msfAdapter) validateDeletes(edges []Edge) error {
-	n := a.m.N()
-	seen := make(map[[2]int]struct{}, len(edges))
-	for _, e := range edges {
-		if err := checkRange(e, n); err != nil {
-			return err
-		}
-		if e.U == e.V {
-			return fmt.Errorf("ufotree: delete edge (%d,%d): %w", e.U, e.V, ErrSelfLoop)
-		}
-		k := normEdge(e)
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("ufotree: delete edge (%d,%d): %w", e.U, e.V, ErrAbsentCut)
-		}
-		seen[k] = struct{}{}
-		if !a.m.HasEdge(e.U, e.V) {
-			return fmt.Errorf("ufotree: delete edge (%d,%d): %w", e.U, e.V, ErrAbsentCut)
-		}
+func (a *msfAdapter) MustDeleteEdges(edges []Edge) {
+	if err := a.DeleteEdges(edges); err != nil {
+		panic(err)
 	}
-	return nil
 }
 
 // PhaseStats converts the MSF layer's telemetry to the facade type: Adds

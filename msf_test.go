@@ -130,7 +130,7 @@ func TestDynamicMSFMustPanics(t *testing.T) {
 			if r == nil {
 				t.Fatalf("no panic (want %q)", want)
 			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
+			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
 				t.Fatalf("panic %v does not contain %q", r, want)
 			}
 			if m.EdgeCount() != 1 || m.TotalWeight() != 2 {

@@ -2,9 +2,9 @@ package ufotree
 
 // Option configures a structure at construction time — the facade's
 // functional-option style for New and NewDynamicGraph. The existing
-// post-construction setters (SetWorkers, SetParallel, and EnableSubtreeMax
-// on the concrete forest) remain as thin wrappers over the same state for
-// callers that reconfigure live structures; the options exist so a fully
+// post-construction setters (SetWorkers, and EnableSubtreeMax on the
+// concrete forest) remain as thin wrappers over the same state for callers
+// that reconfigure live structures; the options exist so a fully
 // configured structure can be built in one expression.
 type Option func(*buildOptions)
 

@@ -256,24 +256,26 @@ type BatchForest interface {
 	Forest
 	// BatchLink inserts a set of edges; the result must remain a forest.
 	//
-	// Pre-mutation panic contract (uniform across adapters): adversarial
-	// batches — self loops, an edge repeated inside the batch in either
-	// orientation, an edge already present — panic deterministically
-	// before any structural change, so a recovered panic leaves the
-	// forest exactly as it was, at every worker count.
+	// Pre-mutation panic contract (uniform across adapters, one shared
+	// check): an adversarial batch — an endpoint out of range
+	// (ErrVertexRange), a self loop (ErrSelfLoop), an edge repeated inside
+	// the batch in either orientation or already present
+	// (ErrDuplicateEdge) — panics before any structural change, with an
+	// error value that errors.Is the matching typed error. A recovered
+	// panic leaves the forest exactly as it was, at every worker count.
+	// Links that would close a cycle are not checked; ValidateLinks
+	// reports them.
 	BatchLink(edges []Edge)
 	// BatchCut removes a set of existing edges. The pre-mutation panic
-	// contract of BatchLink applies: in-batch repeats in either
-	// orientation and absent edges panic before any mutation.
+	// contract of BatchLink applies, with an edge repeated in the batch or
+	// absent reported as ErrAbsentCut.
 	BatchCut(edges []Edge)
-	// SetParallel toggles goroutine parallelism inside batch updates.
-	SetParallel(on bool)
 	// SetWorkers fixes the number of workers used by batch updates and
 	// batch queries. Clamp rules, uniform across adapters: k <= 0 defaults
-	// to runtime.GOMAXPROCS(0) (the SetParallel(true) configuration);
-	// k == 1 runs fully sequentially; counts above GOMAXPROCS are allowed
-	// (oversubscription). Implementations without a tunable worker count
-	// treat any k > 1 as SetParallel(true).
+	// to runtime.GOMAXPROCS(0); k == 1 runs fully sequentially; counts
+	// above GOMAXPROCS are allowed (oversubscription). Implementations
+	// without a tunable update width (the Euler-tour trees) run batch
+	// updates in parallel for any k > 1.
 	SetWorkers(k int)
 	// Workers reports the configured batch worker count, after clamping.
 	// Every structural phase of every configuration runs at this count —
@@ -380,7 +382,6 @@ func (a *ufoAdapter) PathSum(u, v int) (int64, bool) { return a.f.PathSum(u, v) 
 func (a *ufoAdapter) PathMax(u, v int) (int64, bool) { return a.f.PathMax(u, v) }
 func (a *ufoAdapter) SetVertexValue(v int, x int64)  { a.f.SetVertexValue(v, x) }
 func (a *ufoAdapter) SubtreeSum(v, p int) int64      { return a.f.SubtreeSum(v, p) }
-func (a *ufoAdapter) SetParallel(on bool)            { a.f.SetParallel(on) }
 func (a *ufoAdapter) SetWorkers(k int)               { a.f.SetWorkers(k) }
 func (a *ufoAdapter) Workers() int                   { return a.f.Workers() }
 func (a *ufoAdapter) PhaseStats() PhaseStats         { return fromUFOStats(a.f.PhaseStats()) }
@@ -460,7 +461,6 @@ func (a *ternAdapter) PathSum(u, v int) (int64, bool) { return a.f.PathSum(u, v)
 func (a *ternAdapter) PathMax(u, v int) (int64, bool) { return a.f.PathMax(u, v) }
 func (a *ternAdapter) SetVertexValue(v int, x int64)  { a.f.SetVertexValue(v, x) }
 func (a *ternAdapter) SubtreeSum(v, p int) int64      { return a.f.SubtreeSum(v, p) }
-func (a *ternAdapter) SetParallel(on bool)            { a.f.Underlying().SetParallel(on) }
 func (a *ternAdapter) SetWorkers(k int)               { a.f.Underlying().SetWorkers(k) }
 func (a *ternAdapter) Workers() int                   { return a.f.Underlying().Workers() }
 func (a *ternAdapter) PhaseStats() PhaseStats         { return fromUFOStats(a.f.Underlying().PhaseStats()) }
@@ -515,7 +515,6 @@ func (a *ettAdapter[N, B]) HasEdge(u, v int) bool         { return a.f.HasEdge(u
 func (a *ettAdapter[N, B]) Name() string                  { return a.name }
 func (a *ettAdapter[N, B]) SetVertexValue(v int, x int64) { a.f.SetVertexValue(v, x) }
 func (a *ettAdapter[N, B]) SubtreeSum(v, p int) int64     { return a.f.SubtreeSum(v, p) }
-func (a *ettAdapter[N, B]) SetParallel(on bool)           { a.f.SetParallel(on) }
 func (a *ettAdapter[N, B]) SetWorkers(k int)              { a.f.SetWorkers(k) }
 func (a *ettAdapter[N, B]) Workers() int                  { return a.f.Workers() }
 

@@ -125,7 +125,7 @@ func TestBatchFacade(t *testing.T) {
 		edges = append(edges, ufotree.Edge{U: e.U, V: e.V, W: e.W})
 	}
 	for _, f := range batchers {
-		f.SetParallel(true)
+		f.SetWorkers(0)
 		for lo := 0; lo < len(edges); lo += 77 {
 			hi := lo + 77
 			if hi > len(edges) {
@@ -363,9 +363,8 @@ func TestFacadeWorkersReportsFallback(t *testing.T) {
 }
 
 // TestFacadeSetWorkersClamp pins the uniform facade clamp rules on every
-// batch adapter: k <= 0 defaults to GOMAXPROCS (the SetParallel(true)
-// configuration), and explicit counts — oversubscribed included — pass
-// through untouched.
+// batch adapter: k <= 0 defaults to GOMAXPROCS, and explicit counts —
+// oversubscribed included — pass through untouched.
 func TestFacadeSetWorkersClamp(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	batchers := []ufotree.BatchForest{

@@ -1,35 +1,39 @@
 package ufotree
 
-import "repro/internal/serve"
+import (
+	"repro/internal/admit"
+	"repro/internal/serve"
+)
 
-// The typed errors of the validation and Batcher APIs. Each reports one
-// violation class; returned errors wrap these with the offending edge or
-// vertex, so match with errors.Is. The canonical values live in
-// internal/serve — re-exported here so facade callers and the serve layer
-// agree on identity.
+// The typed errors of the batch, validation and Batcher APIs. Each reports
+// one violation class; returned errors (and the values BatchForest panics
+// with) wrap these with the offending edge or vertex, so match with
+// errors.Is. The canonical values live in internal/admit, the one
+// pre-mutation check every batch entry point runs — re-exported here (and
+// by internal/serve) so every layer agrees on identity.
 var (
 	// ErrSelfLoop: a link or cut whose endpoints coincide.
-	ErrSelfLoop = serve.ErrSelfLoop
+	ErrSelfLoop = admit.ErrSelfLoop
 	// ErrDuplicateEdge: a link of an already-present edge, or an edge
 	// repeated inside one batch in either orientation.
-	ErrDuplicateEdge = serve.ErrDuplicateEdge
+	ErrDuplicateEdge = admit.ErrDuplicateEdge
 	// ErrAbsentCut: a cut of an absent edge (or one already cut earlier in
 	// the same batch).
-	ErrAbsentCut = serve.ErrAbsentCut
+	ErrAbsentCut = admit.ErrAbsentCut
 	// ErrWouldCycle: a link whose endpoints are already connected — the
 	// one violation BatchLink does not pre-validate (it would corrupt a
 	// BatchForest, not panic), so validate before batching untrusted input.
-	ErrWouldCycle = serve.ErrWouldCycle
+	ErrWouldCycle = admit.ErrWouldCycle
 	// ErrVertexRange: an endpoint outside [0, N()).
-	ErrVertexRange = serve.ErrVertexRange
+	ErrVertexRange = admit.ErrVertexRange
 	// ErrUnsupported: an operation the underlying structure cannot answer
 	// (e.g. path queries through a Batcher over an Euler-tour tree).
-	ErrUnsupported = serve.ErrUnsupported
+	ErrUnsupported = admit.ErrUnsupported
 	// ErrClosed: a submission to a Batcher after Close.
-	ErrClosed = serve.ErrClosed
+	ErrClosed = admit.ErrClosed
 	// ErrEngine: an engine panic recovered by a Batcher's flusher instead
 	// of reaching the submitter.
-	ErrEngine = serve.ErrEngine
+	ErrEngine = admit.ErrEngine
 )
 
 // ComponentIDer is implemented by forests that can name the component of a
@@ -44,10 +48,10 @@ type ComponentIDer interface {
 }
 
 // ValidateLinks reports, as a typed error, the first reason
-// f.BatchLink(edges) would violate the pre-mutation panic contract — a
-// self loop (ErrSelfLoop), an edge repeated inside the batch in either
-// orientation or already present (ErrDuplicateEdge), an endpoint out of
-// range (ErrVertexRange) — or would close a cycle (ErrWouldCycle, the one
+// f.BatchLink(edges) would violate the pre-mutation panic contract — an
+// endpoint out of range (ErrVertexRange), a self loop (ErrSelfLoop), an
+// edge repeated inside the batch in either orientation or already present
+// (ErrDuplicateEdge) — or would close a cycle (ErrWouldCycle, the one
 // violation BatchLink cannot check for itself). A nil return means the
 // batch is safe to hand to a BatchForest: it is how a server front-end
 // rejects bad input with an error while the direct batch calls keep their
@@ -60,9 +64,9 @@ func ValidateLinks(f Forest, edges []Edge) error {
 }
 
 // ValidateCuts reports, as a typed error, the first reason
-// f.BatchCut(edges) would violate the pre-mutation panic contract: a self
-// loop (ErrSelfLoop), an endpoint out of range (ErrVertexRange), or an
-// edge absent or repeated inside the batch (ErrAbsentCut).
+// f.BatchCut(edges) would violate the pre-mutation panic contract: an
+// endpoint out of range (ErrVertexRange), a self loop (ErrSelfLoop), or an
+// edge repeated inside the batch or absent (ErrAbsentCut).
 func ValidateCuts(f Forest, edges []Edge) error {
 	return serve.ValidateCuts(stateOf(f), convServeEdges(edges))
 }
